@@ -71,7 +71,11 @@ def _cmd_gen(args) -> int:
         print(f"error: output file must end in .json or .v, got {out.name!r}",
               file=sys.stderr)
         return 2
-    out.write_text(text, encoding="utf-8", newline="\n")
+    try:
+        out.write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return 2
     area = area_report(circuit)
     print(
         f"{circuit.name}: {area.total_gates} gates, "
@@ -104,7 +108,7 @@ def _retag_signs(circuit: Circuit, sign_a: Signedness, sign_b: Signedness) -> Ci
 def _load_circuit(path: str) -> Circuit:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise JsonFormatError(f"cannot read {path}: {exc}") from exc
     return from_json(text)
 

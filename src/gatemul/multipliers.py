@@ -86,14 +86,14 @@ class MultiplierSpec:
             leaf = self.leaf_width
             if leaf is None:
                 raise ValueError("Decomposed requires leaf_width")
+            if leaf < 2:
+                raise ValueError("leaf_width must be >= 2")
             if n % leaf:
                 raise ValueError("leaf_width must divide the width")
             if not _is_pow2(n) or not _is_pow2(leaf):
                 raise ValueError("Decomposed widths must be powers of two")
             if leaf >= n:
                 raise ValueError("leaf_width must be smaller than the width")
-            if leaf < 2:
-                raise ValueError("leaf_width must be >= 2")
 
 
 def _product_sign(sa: Signedness, sb: Signedness) -> Signedness:

@@ -5,7 +5,9 @@ Bit 0 is always the LSB; a signed port of width n gives its top bit weight
 per net, so the netlist itself (not any word-level shortcut) produces the
 result.  Batch evaluation packs many vectors into the bits of one Python
 integer per net and runs the same gate table once per chunk; outputs are
-bit-identical to scalar evaluation.
+bit-identical to scalar evaluation.  Port values travel as int64 arrays when
+the port's range fits in int64 and as object arrays of exact Python ints
+otherwise, so the array path is exact at every width.
 """
 
 from __future__ import annotations
@@ -16,8 +18,18 @@ import numpy as np
 
 from .netlist import Circuit, GateKind, Signedness, gate_schedule
 
-#: Largest port width the packed-array paths accept (values fit in int64).
-MAX_ARRAY_WIDTH = 62
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+_M64 = (1 << 64) - 1
+
+
+def fits_int64(*values: int) -> bool:
+    """Whether every one of these Python ints is representable as int64."""
+    return all(_INT64_MIN <= v <= _INT64_MAX for v in values)
+
+
+def port_dtype(width: int, signedness: Signedness):
+    """Array dtype for a port's values: int64 if its range fits, else object."""
+    return np.int64 if fits_int64(*value_range(width, signedness)) else object
 
 
 def value_range(width: int, signedness: Signedness) -> tuple[int, int]:
@@ -70,7 +82,10 @@ _GATE_OPS = {
 
 
 def _evaluate_lanes(
-    circuit: Circuit, in_lanes: Mapping[str, Sequence[int]], mask: int
+    circuit: Circuit,
+    in_lanes: Mapping[str, Sequence[int]],
+    mask: int,
+    schedule: Sequence[int],
 ) -> dict[str, list[int]]:
     values: list[int] = [0] * circuit.net_count
     for port in circuit.inputs:
@@ -78,7 +93,7 @@ def _evaluate_lanes(
         for net, lane in zip(port.bits, lanes):
             values[net] = lane
     gates = circuit.gates
-    for gi in gate_schedule(circuit):
+    for gi in schedule:
         g = gates[gi]
         values[g.output] = _GATE_OPS[g.kind]([values[i] for i in g.inputs], mask)
     return {p.name: [values[net] for net in p.bits] for p in circuit.outputs}
@@ -106,18 +121,28 @@ def evaluate(circuit: Circuit, inputs: Mapping[str, int]) -> dict[str, int]:
     lanes = {
         p.name: encode(inputs[p.name], p.width, p.signedness) for p in circuit.inputs
     }
-    out = _evaluate_lanes(circuit, lanes, 1)
+    out = _evaluate_lanes(circuit, lanes, 1, gate_schedule(circuit))
     return {
         p.name: decode(out[p.name], p.signedness) for p in circuit.outputs
     }
 
 
 def _pack_port(values: np.ndarray, width: int) -> list[int]:
-    """One lane integer per bit position; lane bit k = vector k's bit."""
-    u = values & ((1 << width) - 1)
+    """One lane integer per bit position; lane bit k = vector k's bit.
+
+    Values are split into 64-bit two's-complement limbs: an int64 array is
+    its own single limb, an object array of Python ints is cut into as many
+    limbs as the width needs.
+    """
+    if values.dtype == object:
+        limbs = [
+            ((values >> base) & _M64).astype(np.uint64) for base in range(0, width, 64)
+        ]
+    else:
+        limbs = [values.astype(np.uint64)]
     lanes = []
     for j in range(width):
-        col = ((u >> j) & 1).astype(np.uint8)
+        col = ((limbs[j >> 6] >> np.uint64(j & 63)) & np.uint64(1)).astype(np.uint8)
         lanes.append(int.from_bytes(np.packbits(col, bitorder="little").tobytes(), "little"))
     return lanes
 
@@ -126,12 +151,22 @@ def _unpack_port(
     lanes: Sequence[int], width: int, count: int, signedness: Signedness
 ) -> np.ndarray:
     nbytes = (count + 7) // 8
-    acc = np.zeros(count, dtype=np.int64)
+    limbs = [np.zeros(count, dtype=np.uint64) for _ in range(0, width, 64)]
     for j, lane in enumerate(lanes):
         raw = np.frombuffer(lane.to_bytes(nbytes, "little"), dtype=np.uint8)
-        bits = np.unpackbits(raw, count=count, bitorder="little").astype(np.int64)
-        acc |= bits << j
-    if signedness is Signedness.SIGNED:
+        bits = np.unpackbits(raw, count=count, bitorder="little").astype(np.uint64)
+        limbs[j >> 6] |= bits << np.uint64(j & 63)
+    signed = signedness is Signedness.SIGNED
+    if port_dtype(width, signedness) is np.int64:
+        if not signed:
+            return limbs[0].view(np.int64)
+        # Move the sign bit to bit 63, then shift back arithmetically.
+        shift = np.uint64(64 - width)
+        return (limbs[0] << shift).view(np.int64) >> np.int64(shift)
+    acc = limbs[-1].astype(object)
+    for limb in reversed(limbs[:-1]):
+        acc = (acc << 64) | limb.astype(object)
+    if signed:
         acc -= ((acc >> (width - 1)) & 1) << width
     return acc
 
@@ -144,7 +179,9 @@ def evaluate_vector_array(
     """Vectorized :func:`evaluate` over equal-length arrays of port values.
 
     Vectors are packed into bit lanes and pushed through the netlist in
-    chunks of ``chunk_size``; results do not depend on the chunking.
+    chunks of ``chunk_size``; results do not depend on the chunking.  Each
+    output is an int64 array when its port's range fits in int64, else an
+    object array of exact Python ints.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
@@ -152,9 +189,7 @@ def evaluate_vector_array(
     arrays: dict[str, np.ndarray] = {}
     n = None
     for port in circuit.inputs:
-        if port.width > MAX_ARRAY_WIDTH:
-            raise ValueError(f"port {port.name!r} too wide for the array path")
-        arr = np.asarray(values[port.name], dtype=np.int64)
+        arr = np.asarray(values[port.name], dtype=port_dtype(port.width, port.signedness))
         if arr.ndim != 1:
             raise ValueError(f"values for {port.name!r} must be one-dimensional")
         if n is None:
@@ -171,6 +206,7 @@ def evaluate_vector_array(
             )
         arrays[port.name] = arr
     assert n is not None
+    schedule = gate_schedule(circuit)
     parts: dict[str, list[np.ndarray]] = {p.name: [] for p in circuit.outputs}
     for start in range(0, n, chunk_size):
         stop = min(start + chunk_size, n)
@@ -180,12 +216,15 @@ def evaluate_vector_array(
             p.name: _pack_port(arrays[p.name][start:stop], p.width)
             for p in circuit.inputs
         }
-        out = _evaluate_lanes(circuit, lanes, mask)
+        out = _evaluate_lanes(circuit, lanes, mask, schedule)
         for p in circuit.outputs:
             parts[p.name].append(_unpack_port(out[p.name], p.width, m, p.signedness))
     return {
-        name: (np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64))
-        for name, chunks in parts.items()
+        p.name: (
+            np.concatenate(parts[p.name]) if parts[p.name]
+            else np.zeros(0, dtype=port_dtype(p.width, p.signedness))
+        )
+        for p in circuit.outputs
     }
 
 
@@ -206,7 +245,7 @@ def evaluate_batch(
             what = f"missing input port(s) {sorted(missing)}" if missing else \
                 f"unknown input port(s) {sorted(extra)}"
             raise ValueError(f"vector {idx}: {what}")
-    arrays = {name: np.array([vec[name] for vec in vectors], dtype=np.int64) for name in names}
+    arrays = {name: [vec[name] for vec in vectors] for name in names}
     out = evaluate_vector_array(circuit, arrays, chunk_size=chunk_size)
     out_names = [p.name for p in circuit.outputs]
     return [

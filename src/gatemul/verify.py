@@ -1,8 +1,10 @@
 """Equivalence checking of multiplier netlists against host-integer products.
 
-The oracle is deliberately boring: decode the operands, multiply with
-Python integers, compare.  It never touches generator or simulator word
-paths, so a bug in the netlist machinery cannot hide itself.
+The oracle is deliberately boring: multiply the operand arrays on the host,
+compare.  When every operand and every product fits in int64 (decided from
+the port ranges with Python ints) it multiplies numpy int64 arrays;
+otherwise it multiplies exact Python ints.  It never touches generator or
+simulator word paths, so a bug in the netlist machinery cannot hide itself.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .multipliers import MultiplierSpec
 from .netlist import Circuit
-from .sim import evaluate_vector_array, value_range
+from .sim import evaluate_vector_array, fits_int64, port_dtype, value_range
 
 #: PRNG identifier recorded in random reports.
 RANDOM_ALGORITHM = "numpy-pcg64"
@@ -100,27 +102,42 @@ def _ports(circuit: Circuit, spec: MultiplierSpec):
     return pa, pb, circuit.outputs[0]
 
 
+def _oracle(a_vals: np.ndarray, b_vals: np.ndarray, spec: MultiplierSpec) -> np.ndarray:
+    """Whole-array :func:`oracle_product`: range checks, then ``a * b``.
+
+    The product is an int64 array when every operand and product fits in
+    int64, else an object array of exact Python ints.
+    """
+    lo_a, hi_a = value_range(spec.width_a, spec.sign_a)
+    lo_b, hi_b = value_range(spec.width_b, spec.sign_b)
+    bad = (a_vals < lo_a) | (a_vals > hi_a) | (b_vals < lo_b) | (b_vals > hi_b)
+    if bad.any():
+        i = int(np.argmax(bad))
+        oracle_product(int(a_vals[i]), int(b_vals[i]), spec)  # raises the range error
+    corners = [x * y for x in (lo_a, hi_a) for y in (lo_b, hi_b)]
+    if fits_int64(lo_a, hi_a, lo_b, hi_b, *corners):
+        return a_vals * b_vals
+    return a_vals.astype(object) * b_vals.astype(object)
+
+
 def _run(circuit: Circuit, spec: MultiplierSpec, a_vals, b_vals, sort_failures: bool):
     pa, pb, po = _ports(circuit, spec)
-    expected = np.fromiter(
-        (oracle_product(int(a), int(b), spec) for a, b in zip(a_vals, b_vals)),
-        dtype=np.int64,
-        count=len(a_vals),
-    )
+    expected = _oracle(a_vals, b_vals, spec)
     out = evaluate_vector_array(circuit, {pa.name: a_vals, pb.name: b_vals})
     actual = out[po.name]
-    bad = np.nonzero(actual != expected)[0]
-    failures = [
-        (
-            {pa.name: int(a_vals[i]), pb.name: int(b_vals[i])},
-            int(expected[i]),
-            int(actual[i]),
-        )
-        for i in bad
-    ]
+    bad = np.flatnonzero(actual != expected)
     if sort_failures:
-        failures.sort(key=lambda f: tuple(f[0].values()))
-    return failures
+        # Stable, so equal (a, b) pairs keep vector order.
+        bad = bad[np.lexsort((b_vals[bad], a_vals[bad]))]
+    return [
+        ({pa.name: a, pb.name: b}, e, g)
+        for a, b, e, g in zip(
+            a_vals[bad].tolist(),
+            b_vals[bad].tolist(),
+            expected[bad].tolist(),
+            actual[bad].tolist(),
+        )
+    ]
 
 
 def verify_exhaustive(
@@ -153,13 +170,47 @@ def boundary_values(width: int, signedness) -> list[int]:
     return out
 
 
+def _draw(rng: np.random.Generator, width: int, signedness, count: int) -> np.ndarray:
+    """``count`` uniform draws from the range of one operand port.
+
+    A range that fits in int64 is drawn as ``rng.integers(lo, hi,
+    dtype=np.int64, endpoint=True)``.  A wider range of span ``hi - lo``
+    with ``k`` bits is drawn as ``ceil(k / 64)`` uint64 limbs per value
+    (least significant first; all limbs of a value come from one row of a
+    ``(m, limbs)`` uint64 draw), the top limb masked to the remaining bits.
+    Values above the span are rejected and the shortfall is drawn again;
+    ``lo`` is then added.  For 64-bit unsigned this is one unmasked uint64
+    per value, and nothing is ever rejected.
+    """
+    lo, hi = value_range(width, signedness)
+    if fits_int64(lo, hi):
+        return rng.integers(lo, hi, size=count, dtype=np.int64, endpoint=True)
+    span = hi - lo
+    nlimbs = -(-span.bit_length() // 64)
+    top_mask = np.uint64((1 << (span.bit_length() - 64 * (nlimbs - 1))) - 1)
+    vals = np.zeros(0, dtype=object)
+    while len(vals) < count:
+        words = rng.integers(
+            0, (1 << 64) - 1, size=(count - len(vals), nlimbs),
+            dtype=np.uint64, endpoint=True,
+        )
+        words[:, -1] &= top_mask
+        cand = words[:, -1].astype(object)
+        for k in range(nlimbs - 2, -1, -1):
+            cand = (cand << 64) | words[:, k].astype(object)
+        vals = np.concatenate([vals, cand[cand <= span]])
+    return vals + lo
+
+
 def verify_random(
     circuit: Circuit, spec: MultiplierSpec, count: int, seed: int
 ) -> VerifyReport:
     """Seeded random vectors plus the full boundary-pair cross product.
 
     The same (seed, count, spec) always tests the same vectors; the PRNG is
-    recorded in the report so runs are reproducible elsewhere.
+    recorded in the report so runs are reproducible elsewhere.  One PCG64
+    generator draws ``count`` values for A, then ``count`` for B (see
+    :func:`_draw` for operand ranges wider than int64).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -168,14 +219,15 @@ def verify_random(
     corner_a = [a for a in ba for _ in bb]
     corner_b = [b for _ in ba for b in bb]
 
-    lo_a, hi_a = value_range(spec.width_a, spec.sign_a)
-    lo_b, hi_b = value_range(spec.width_b, spec.sign_b)
     rng = np.random.default_rng(seed)
-    rand_a = rng.integers(lo_a, hi_a, size=count, dtype=np.int64, endpoint=True)
-    rand_b = rng.integers(lo_b, hi_b, size=count, dtype=np.int64, endpoint=True)
-
-    a_vals = np.concatenate([np.array(corner_a, dtype=np.int64), rand_a])
-    b_vals = np.concatenate([np.array(corner_b, dtype=np.int64), rand_b])
+    a_vals = np.concatenate([
+        np.array(corner_a, dtype=port_dtype(spec.width_a, spec.sign_a)),
+        _draw(rng, spec.width_a, spec.sign_a, count),
+    ])
+    b_vals = np.concatenate([
+        np.array(corner_b, dtype=port_dtype(spec.width_b, spec.sign_b)),
+        _draw(rng, spec.width_b, spec.sign_b, count),
+    ])
     failures = _run(circuit, spec, a_vals, b_vals, sort_failures=True)
     return VerifyReport(
         mode="random",

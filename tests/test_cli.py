@@ -47,6 +47,11 @@ class TestGen:
         assert code == 2
         assert ".json or .v" in capsys.readouterr().err
 
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert run(["gen", "--arch", "bw", "--width", "4", "--out", str(out)]) == 2
+        assert "error: cannot write" in capsys.readouterr().err
+
     def test_mixed_sign_array(self, tmp_path):
         out = tmp_path / "su.json"
         assert run(["gen", "--arch", "array", "--width", "4",
@@ -82,6 +87,33 @@ class TestVerify:
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert run(["verify", str(tmp_path / "nope.json")]) == 2
+
+    def test_undecodable_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe")
+        assert run(["verify", str(path)]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_64_bit_pass_and_mutant_fail(self, tmp_path, capsys):
+        out = tmp_path / "bw64.json"
+        assert run(["gen", "--arch", "bw", "--width", "64", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["verify", str(out), "--random", "300", "--seed", "1"]) == 0
+        assert "result: PASS (325 vectors, 0 failures)" in capsys.readouterr().out
+        c = from_json(out.read_text())
+        mutant = tmp_path / "bw64_mutant.json"
+        mutant.write_text(to_json(flip_gate(c, partial_product_gates(c)[0])))
+        assert run(["verify", str(mutant), "--random", "300", "--seed", "1"]) == 1
+        assert "result: FAIL" in capsys.readouterr().out
+
+    def test_32_bit_unsigned_json_report(self, tmp_path, capsys):
+        out = tmp_path / "arr32.json"
+        assert run(["gen", "--arch", "array", "--width", "32", "--out", str(out)]) == 0
+        capsys.readouterr()
+        code = run(["verify", str(out), "--random", "300", "--format", "json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["passed"] is True and doc["total_vectors"] == 309
 
     def test_random_mode_json_format(self, tmp_path, capsys):
         out = tmp_path / "bw4.json"
@@ -153,6 +185,10 @@ class TestCompare:
     def test_unknown_token_rejected(self, capsys):
         assert run(["compare", "--width", "8", "bw", "wallace"]) == 2
         assert "wallace" in capsys.readouterr().err
+
+    def test_zero_leaf_rejected(self, capsys):
+        assert run(["compare", "--width", "8", "bw", "decomposed:0"]) == 2
+        assert "leaf_width" in capsys.readouterr().err
 
 
 def test_usage_error_exits_2():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gatemul.multipliers import baugh_wooley_multiplier
+from gatemul.multipliers import baugh_wooley_multiplier, unsigned_array_multiplier
 from gatemul.netlist import CircuitBuilder, GateKind, Signedness
 from gatemul.sim import (
     decode,
@@ -151,3 +151,35 @@ def test_signed_output_port_decoding():
     # ~A in two's complement is -A - 1.
     for a in range(-4, 4):
         assert evaluate(c, {"A": a})["Y"] == -a - 1
+
+
+class TestWideArrays:
+    """Ports whose range exceeds int64 travel as exact Python ints."""
+
+    def test_32x32_unsigned_full_product(self):
+        c = unsigned_array_multiplier(32)
+        top = (1 << 32) - 1
+        out = evaluate_vector_array(c, {"A": [top, 0, top, 1], "B": [top, top, 2, top]})
+        assert out["P"].tolist() == [top * top, 0, 2 * top, top]
+
+    @pytest.mark.parametrize("width", [1, 31, 32, 33, 62, 63, 64, 65, 130])
+    @pytest.mark.parametrize("signedness", [S, U])
+    def test_pass_through_matches_scalar(self, width, signedness):
+        # Y = NOT A round-trips every value through packing and decoding.
+        b = CircuitBuilder("inv")
+        bits = b.add_input("A", width, signedness)
+        b.add_output("Y", [b.add_gate(GateKind.NOT, [x]) for x in bits], signedness)
+        c = b.finalize()
+        lo, hi = value_range(width, signedness)
+        rng = random.Random(width)
+        vals = [lo, hi, 0, *(rng.randint(lo, hi) for _ in range(40))]
+        got = evaluate_vector_array(c, {"A": vals}, chunk_size=16)["Y"].tolist()
+        assert got == [evaluate(c, {"A": v})["Y"] for v in vals]
+        assert got == [(~v - lo) % (hi - lo + 1) + lo for v in vals]
+
+    def test_wide_out_of_range_rejected(self):
+        b = CircuitBuilder("buf")
+        bits = b.add_input("A", 64, U)
+        b.add_output("Y", [b.add_gate(GateKind.BUF, [x]) for x in bits], U)
+        with pytest.raises(ValueError, match="out of range"):
+            evaluate_vector_array(b.finalize(), {"A": [0, 1 << 64]})

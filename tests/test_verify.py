@@ -3,14 +3,19 @@ import json
 
 import pytest
 
+import numpy as np
+
 from gatemul.multipliers import (
     Architecture,
     MultiplierSpec,
     baugh_wooley_multiplier,
     decomposed_multiplier,
+    generate,
 )
 from gatemul.netlist import Circuit, Gate, GateKind, Signedness
+from gatemul.sim import evaluate, value_range
 from gatemul.verify import (
+    _draw,
     boundary_values,
     oracle_product,
     verify_exhaustive,
@@ -139,6 +144,121 @@ class TestRandom:
         report = verify_random(mutant, BW4_SPEC, count=200, seed=1)
         keys = [tuple(f[0].values()) for f in report.failures]
         assert keys == sorted(keys)
+
+
+SIGN_PAIRS = [(S, S), (S, U), (U, S), (U, U)]
+WIDE_ARCHS = [
+    (Architecture.FLAT_BW, None),
+    (Architecture.BOOTH_RADIX4, None),
+    (Architecture.DECOMPOSED, 4),
+]
+
+
+class TestWideWidths:
+    """Operands or products beyond int64 take the exact Python-int path."""
+
+    @pytest.mark.parametrize("width", [31, 32, 33, 64])
+    @pytest.mark.parametrize("sa, sb", SIGN_PAIRS)
+    def test_array_generators_pass(self, width, sa, sb):
+        spec = MultiplierSpec(width, width, sa, sb, Architecture.FLAT_UNSIGNED_ARRAY)
+        report = verify_random(generate(spec), spec, count=200, seed=width)
+        assert report.passed, report.to_text()
+        corners = len(boundary_values(width, sa)) * len(boundary_values(width, sb))
+        assert report.total_vectors == corners + 200
+
+    @pytest.mark.parametrize("arch, leaf", WIDE_ARCHS)
+    def test_64_bit_architectures_pass(self, arch, leaf):
+        spec = MultiplierSpec(64, 64, S, S, arch, leaf_width=leaf)
+        report = verify_random(generate(spec), spec, count=200, seed=64)
+        assert report.passed, report.to_text()
+
+    def test_64_bit_mutant_refuted_with_exact_witnesses(self):
+        spec = MultiplierSpec(64, 64, S, S, Architecture.FLAT_BW)
+        c = baugh_wooley_multiplier(64)
+        mutant = flip_gate(c, partial_product_gates(c)[0])
+        report = verify_random(mutant, spec, count=100, seed=9)
+        assert not report.passed
+        keys = [(f[0]["A"], f[0]["B"]) for f in report.failures]
+        assert keys == sorted(keys)
+        for inputs, expected, actual in report.failures[:10]:
+            assert expected == inputs["A"] * inputs["B"]
+            assert actual == evaluate(mutant, inputs)["P"] != expected
+
+    def test_wider_than_64_bits_passes(self):
+        spec = MultiplierSpec(65, 65, S, U, Architecture.FLAT_UNSIGNED_ARRAY)
+        report = verify_random(generate(spec), spec, count=50, seed=65)
+        assert report.passed, report.to_text()
+
+
+class TestDraws:
+    def test_int64_ranges_draw_as_before(self):
+        for width, sign in [(16, S), (33, U), (64, S)]:
+            lo, hi = value_range(width, sign)
+            want = np.random.default_rng(4).integers(
+                lo, hi, size=50, dtype=np.int64, endpoint=True
+            )
+            got = _draw(np.random.default_rng(4), width, sign, 50)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+    def test_64_bit_unsigned_draws_uint64(self):
+        want = np.random.default_rng(4).integers(
+            0, (1 << 64) - 1, size=(50, 1), dtype=np.uint64, endpoint=True
+        )
+        got = _draw(np.random.default_rng(4), 64, U, 50)
+        assert got.tolist() == want[:, 0].tolist()
+
+    @pytest.mark.parametrize("width, sign", [(65, S), (65, U), (100, S), (128, U)])
+    def test_wide_draws_in_range_and_deterministic(self, width, sign):
+        lo, hi = value_range(width, sign)
+        got = _draw(np.random.default_rng(11), width, sign, 400).tolist()
+        assert got == _draw(np.random.default_rng(11), width, sign, 400).tolist()
+        assert len(got) == 400
+        assert all(lo <= v <= hi for v in got)
+        # Uniform over the range: both halves are hit.
+        mid = (lo + hi) // 2
+        assert any(v < mid for v in got) and any(v > mid for v in got)
+
+
+class TestPinnedSeed:
+    """Draws and report text for int64 ranges match earlier releases."""
+
+    SPEC16 = MultiplierSpec(16, 16, S, S, Architecture.FLAT_BW)
+
+    def test_first_random_vectors(self):
+        c = baugh_wooley_multiplier(16)
+        mutant = flip_gate(c, partial_product_gates(c)[5])
+        report = verify_random(mutant, self.SPEC16, count=6, seed=2024)
+        # This mutant fails on every vector, so the failures list them all.
+        assert len(report.failures) == report.total_vectors == 31
+        corners = {(a, b) for a in boundary_values(16, S) for b in boundary_values(16, S)}
+        drawn = {(f[0]["A"], f[0]["B"]) for f in report.failures} - corners
+        assert drawn == {
+            (-16940, 26783), (11523, 19625), (-26717, 27219),
+            (-18723, 32492), (-11951, -27622), (-12488, -23447),
+        }
+
+    def test_report_text(self):
+        c = baugh_wooley_multiplier(16)
+        mutant = flip_gate(c, partial_product_gates(c)[5])
+        report = verify_random(mutant, self.SPEC16, count=6, seed=2024)
+        assert report.to_text(max_witnesses=8) == "\n".join([
+            "mode: random",
+            "algorithm: numpy-pcg64, seed: 2024, requested: 6",
+            "vectors: 31 (boundary 25 + random 6)",
+            "result: FAIL (31 failures)",
+            "  A=-32768 B=-32768: expected 1073741824, got 1073741856",
+            "  A=-32768 B=-1: expected 32768, got 32800",
+            "  A=-32768 B=0: expected 0, got 32",
+            "  A=-32768 B=1: expected -32768, got -32736",
+            "  A=-32768 B=32767: expected -1073709056, got -1073709024",
+            "  A=-26717 B=27219: expected -727210023, got -727209991",
+            "  A=-18723 B=32492: expected -608347716, got -608347748",
+            "  A=-16940 B=26783: expected -453704020, got -453703988",
+            "  ... and 23 more",
+        ])
+        passing = verify_random(c, self.SPEC16, count=6, seed=2024)
+        assert passing.to_text().endswith("result: PASS (31 vectors, 0 failures)")
 
 
 def _corrupt_at_min_min(c: Circuit) -> Circuit:
