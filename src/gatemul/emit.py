@@ -22,6 +22,7 @@ from .netlist import (
     GateKind,
     Port,
     Signedness,
+    _require_valid,
     validate,
 )
 
@@ -69,11 +70,7 @@ def to_verilog(circuit: Circuit) -> str:
     Net naming (``n<index>``) and line order are functions of the circuit
     alone, so emission is byte-identical across runs.
     """
-    violations = validate(circuit)
-    if violations:
-        raise ValueError(
-            "cannot emit invalid circuit: " + "; ".join(v.message for v in violations)
-        )
+    _require_valid(circuit)
     taken: set[str] = set()
     module = _sanitize(circuit.name, set())
     port_name = {}
@@ -117,11 +114,7 @@ def _port_doc(p: Port) -> dict:
 
 
 def to_json(circuit: Circuit) -> str:
-    violations = validate(circuit)
-    if violations:
-        raise ValueError(
-            "cannot serialize invalid circuit: " + "; ".join(v.message for v in violations)
-        )
+    _require_valid(circuit)
     doc = {
         "name": circuit.name,
         "net_count": circuit.net_count,

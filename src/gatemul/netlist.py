@@ -7,7 +7,11 @@ ids.  Because a gate may only reference nets that already exist, the gate
 list of a builder-produced circuit is topologically ordered by construction.
 
 Finalized circuits are immutable; analyses may share them freely across
-threads and key per-net tables by the dense net index.
+threads and key per-net tables by the dense net index.  Validation, the
+gate schedule and the depth in levels come from one structural analysis
+that is computed once per ``Circuit`` object and cached on it (it is not a
+field, so equality, hashing and ``repr`` ignore it).  A concurrent first
+access may compute it twice, with the same result.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -103,6 +109,10 @@ class Circuit:
     def input_nets(self) -> set[NetId]:
         return {n for p in self.inputs for n in p.bits}
 
+    @cached_property
+    def _analysis(self) -> _Analysis:
+        return _analyse(self)
+
 
 class ViolationKind(Enum):
     MULTIPLE_DRIVERS = "MultipleDrivers"
@@ -119,6 +129,112 @@ class Violation:
     gate_index: int | None = None
 
 
+@dataclass(frozen=True)
+class _Analysis:
+    """Structural facts about one circuit, computed once by :func:`_analyse`.
+
+    ``schedule`` and ``depth`` are meaningful only when ``violations`` is
+    empty.  ``schedule`` is ``range(len(gates))`` when the gate list is
+    already in dependency order, as every builder circuit's is.
+    """
+
+    violations: tuple[Violation, ...]
+    schedule: Sequence[int]
+    depth: int
+
+
+def _analyse(circuit: Circuit) -> _Analysis:
+    """Census of drivers and arities, then order the gates: a linear check
+    when they are already in order, Kahn's sort otherwise."""
+    out: list[Violation] = []
+    nc = circuit.net_count
+    gates = circuit.gates
+
+    def flag(kind: ViolationKind, what: str, **where) -> None:
+        out.append(Violation(kind, f"{kind.value}: {what}", **where))
+
+    for gi, g in enumerate(gates):
+        want = ARITY[g.kind]
+        if len(g.inputs) != want:
+            flag(ViolationKind.ARITY_MISMATCH,
+                 f"gate {gi} ({g.kind.value}) has {len(g.inputs)} inputs, expected {want}",
+                 gate_index=gi)
+
+    # Driver census: input-port bits and gate outputs each drive one net.  A
+    # driver outside the net range counts as an undriven reference.
+    drivers = [0] * nc
+    undriven: set[NetId] = set()
+    for net in chain((n for p in circuit.inputs for n in p.bits), (g.output for g in gates)):
+        if 0 <= net < nc:
+            drivers[net] += 1
+        else:
+            undriven.add(net)
+
+    for net, count in enumerate(drivers):
+        if count > 1:
+            flag(ViolationKind.MULTIPLE_DRIVERS, f"net {net} has {count} drivers", net=net)
+
+    for bits in chain((g.inputs for g in gates), (p.bits for p in circuit.outputs)):
+        for net in bits:
+            if not (0 <= net < nc and drivers[net]):
+                undriven.add(net)
+    for net in sorted(undriven):
+        flag(ViolationKind.UNDRIVEN_NET, f"net {net} is referenced but never driven", net=net)
+
+    schedule: Sequence[int] = range(len(gates))
+    depth = None if out else _depth(circuit, schedule)
+    if depth is None:
+        # Not in order (or not well formed): Kahn's sort over the gate graph.
+        driver_gate = {g.output: gi for gi, g in enumerate(gates)
+                       if 0 <= g.output < nc and drivers[g.output] == 1}
+        indeg = [0] * len(gates)
+        consumers: dict[int, list[int]] = {}
+        for gi, g in enumerate(gates):
+            for net in g.inputs:
+                src = driver_gate.get(net)
+                if src is not None:
+                    indeg[gi] += 1
+                    consumers.setdefault(src, []).append(gi)
+        queue = deque(gi for gi in range(len(gates)) if indeg[gi] == 0)
+        schedule = []
+        while queue:
+            gi = queue.popleft()
+            schedule.append(gi)
+            for nxt in consumers.get(gi, ()):
+                indeg[nxt] -= 1
+                if indeg[nxt] == 0:
+                    queue.append(nxt)
+        if len(schedule) != len(gates):
+            stuck = [gi for gi in range(len(gates)) if indeg[gi] > 0]
+            flag(ViolationKind.CYCLE, f"gates {stuck} form a combinational loop",
+                 gate_index=stuck[0] if stuck else None)
+        if not out:
+            depth = _depth(circuit, schedule)
+    return _Analysis(tuple(out), schedule, depth or 0)
+
+
+def _depth(circuit: Circuit, schedule: Sequence[int]) -> int | None:
+    """Depth in gate levels of a well-formed circuit walked in ``schedule``
+    order, or None if some gate comes before a gate it reads from."""
+    level = [-1] * circuit.net_count
+    for p in circuit.inputs:
+        for net in p.bits:
+            level[net] = 0
+    gates = circuit.gates
+    for gi in schedule:
+        g = gates[gi]
+        top = 0
+        for net in g.inputs:
+            lv = level[net]
+            if lv > top:
+                top = lv
+            elif lv < 0:
+                return None
+        # Only CONST gates have no inputs, and they cost no level.
+        level[g.output] = top + 1 if g.inputs else 0
+    return max((level[net] for p in circuit.outputs for net in p.bits), default=0)
+
+
 def validate(circuit: Circuit) -> list[Violation]:
     """Check the structural invariants; returns one entry per violation.
 
@@ -126,100 +242,7 @@ def validate(circuit: Circuit) -> list[Violation]:
     well formed (every net singly driven, all references resolved, gate
     graph acyclic, arities correct).
     """
-    out: list[Violation] = []
-    nc = circuit.net_count
-
-    for gi, g in enumerate(circuit.gates):
-        want = ARITY[g.kind]
-        if len(g.inputs) != want:
-            out.append(
-                Violation(
-                    ViolationKind.ARITY_MISMATCH,
-                    f"ArityMismatch: gate {gi} ({g.kind.value}) has "
-                    f"{len(g.inputs)} inputs, expected {want}",
-                    gate_index=gi,
-                )
-            )
-
-    # Driver census: input-port bits and gate outputs each drive one net.
-    drivers = [0] * nc
-
-    def _driven(net: NetId) -> bool:
-        return 0 <= net < nc and drivers[net] > 0
-
-    bad_ref: set[NetId] = set()
-    for p in circuit.inputs:
-        for net in p.bits:
-            if 0 <= net < nc:
-                drivers[net] += 1
-            else:
-                bad_ref.add(net)
-    for g in circuit.gates:
-        if 0 <= g.output < nc:
-            drivers[g.output] += 1
-        else:
-            bad_ref.add(g.output)
-
-    for net in range(nc):
-        if drivers[net] > 1:
-            out.append(
-                Violation(
-                    ViolationKind.MULTIPLE_DRIVERS,
-                    f"MultipleDrivers: net {net} has {drivers[net]} drivers",
-                    net=net,
-                )
-            )
-
-    undriven: set[NetId] = set(bad_ref)
-    for g in circuit.gates:
-        for net in g.inputs:
-            if not _driven(net):
-                undriven.add(net)
-    for p in circuit.outputs:
-        for net in p.bits:
-            if not _driven(net):
-                undriven.add(net)
-    for net in sorted(undriven):
-        out.append(
-            Violation(
-                ViolationKind.UNDRIVEN_NET,
-                f"UndrivenNet: net {net} is referenced but never driven",
-                net=net,
-            )
-        )
-
-    # Cycle check over the gate graph (Kahn).
-    driver_gate: dict[NetId, int] = {}
-    for gi, g in enumerate(circuit.gates):
-        if 0 <= g.output < nc and drivers[g.output] == 1:
-            driver_gate[g.output] = gi
-    indeg = [0] * len(circuit.gates)
-    consumers: dict[int, list[int]] = {}
-    for gi, g in enumerate(circuit.gates):
-        for net in g.inputs:
-            src = driver_gate.get(net)
-            if src is not None:
-                indeg[gi] += 1
-                consumers.setdefault(src, []).append(gi)
-    queue = deque(gi for gi in range(len(circuit.gates)) if indeg[gi] == 0)
-    seen = 0
-    while queue:
-        gi = queue.popleft()
-        seen += 1
-        for nxt in consumers.get(gi, ()):
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                queue.append(nxt)
-    if seen != len(circuit.gates):
-        stuck = [gi for gi in range(len(circuit.gates)) if indeg[gi] > 0]
-        out.append(
-            Violation(
-                ViolationKind.CYCLE,
-                f"Cycle: gates {stuck} form a combinational loop",
-                gate_index=stuck[0] if stuck else None,
-            )
-        )
-    return out
+    return list(circuit._analysis.violations)
 
 
 class ValidationError(NetlistError):
@@ -230,49 +253,24 @@ class ValidationError(NetlistError):
         super().__init__("; ".join(v.message for v in violations))
 
 
+def _require_valid(circuit: Circuit) -> _Analysis:
+    """The circuit's analysis; raises :class:`ValidationError` if it is invalid."""
+    analysis = circuit._analysis
+    if analysis.violations:
+        err = ValidationError(analysis.violations)
+        err.args = (f"circuit {circuit.name!r} is invalid: {err}",)
+        raise err
+    return analysis
+
+
 def gate_schedule(circuit: Circuit) -> list[int]:
     """Gate indices in dependency order.
 
     Builder-produced circuits are already ordered and pass a single linear
     check; gate lists from other sources are re-sorted with Kahn's
-    algorithm.  Raises :class:`NetlistError` on a combinational cycle.
+    algorithm.  Raises :class:`ValidationError` on an invalid circuit.
     """
-    placed = [False] * circuit.net_count
-    for p in circuit.inputs:
-        for net in p.bits:
-            placed[net] = True
-    in_order = True
-    for g in circuit.gates:
-        if not all(placed[i] for i in g.inputs):
-            in_order = False
-            break
-        placed[g.output] = True
-    if in_order:
-        return list(range(len(circuit.gates)))
-
-    driver_gate: dict[NetId, int] = {g.output: gi for gi, g in enumerate(circuit.gates)}
-    input_nets = circuit.input_nets()
-    indeg = [0] * len(circuit.gates)
-    consumers: dict[int, list[int]] = {}
-    for gi, g in enumerate(circuit.gates):
-        for net in g.inputs:
-            if net in input_nets:
-                continue
-            src = driver_gate[net]
-            indeg[gi] += 1
-            consumers.setdefault(src, []).append(gi)
-    queue = deque(gi for gi in range(len(circuit.gates)) if indeg[gi] == 0)
-    order: list[int] = []
-    while queue:
-        gi = queue.popleft()
-        order.append(gi)
-        for nxt in consumers.get(gi, ()):
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                queue.append(nxt)
-    if len(order) != len(circuit.gates):
-        raise NetlistError("circuit contains a combinational cycle")
-    return order
+    return list(_require_valid(circuit).schedule)
 
 
 class CircuitBuilder:

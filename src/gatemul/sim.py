@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .netlist import Circuit, GateKind, Signedness, gate_schedule
+from .netlist import Circuit, GateKind, Signedness, _require_valid
 
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 _M64 = (1 << 64) - 1
@@ -117,11 +117,12 @@ def evaluate(circuit: Circuit, inputs: Mapping[str, int]) -> dict[str, int]:
     signedness.  Deterministic and pure: the same circuit and assignment
     always produce the same outputs.
     """
+    schedule = _require_valid(circuit).schedule
     _check_names(circuit, inputs.keys())
     lanes = {
         p.name: encode(inputs[p.name], p.width, p.signedness) for p in circuit.inputs
     }
-    out = _evaluate_lanes(circuit, lanes, 1, gate_schedule(circuit))
+    out = _evaluate_lanes(circuit, lanes, 1, schedule)
     return {
         p.name: decode(out[p.name], p.signedness) for p in circuit.outputs
     }
@@ -185,6 +186,7 @@ def evaluate_vector_array(
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
+    schedule = _require_valid(circuit).schedule
     _check_names(circuit, values.keys())
     arrays: dict[str, np.ndarray] = {}
     n = None
@@ -206,7 +208,6 @@ def evaluate_vector_array(
             )
         arrays[port.name] = arr
     assert n is not None
-    schedule = gate_schedule(circuit)
     parts: dict[str, list[np.ndarray]] = {p.name: [] for p in circuit.outputs}
     for start in range(0, n, chunk_size):
         stop = min(start + chunk_size, n)

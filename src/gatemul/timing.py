@@ -3,8 +3,11 @@
 Delays are exact rationals (:class:`fractions.Fraction`), so model scaling
 and cross-model comparisons behave algebraically: scaling every gate delay
 by k scales the critical delay by exactly k and leaves the witness path
-unchanged.  Timing is purely topological -- no input-dependent or false-path
-analysis -- which is what a synthesis report's "path delay" measures.
+unchanged.  STA runs as one pass over integers: each model scales its
+delays by their common denominator, and results are converted back, so
+they are still exact rationals.  Timing is purely topological -- no
+input-dependent or false-path analysis -- which is what a synthesis
+report's "path delay" measures.
 """
 
 from __future__ import annotations
@@ -13,10 +16,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from io import StringIO
+from math import lcm
 from typing import Mapping, Sequence
 import csv
 
-from .netlist import Circuit, Gate, GateKind, NetId, gate_schedule, validate
+from .netlist import Circuit, Gate, GateKind, NetId, _require_valid
 
 DelayLike = int | float | str | Fraction
 
@@ -48,6 +52,10 @@ class DelayModel:
             if coerced[k] != 0:
                 raise ValueError("constant generators must have zero delay")
         object.__setattr__(self, "delay_of", coerced)
+        # Integer delays in units of 1/_scale, for STA.
+        scale = lcm(*(d.denominator for d in coerced.values()))
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_ticks", {k: int(d * scale) for k, d in coerced.items()})
 
     def __getitem__(self, kind: GateKind) -> Fraction:
         return self.delay_of[kind]
@@ -98,28 +106,32 @@ class DelayModel:
         return models[name]()
 
 
-def _require_valid(circuit: Circuit) -> None:
-    violations = validate(circuit)
-    if violations:
-        raise ValueError(
-            f"circuit {circuit.name!r} is invalid: " + "; ".join(v.message for v in violations)
-        )
+def _arrival_ticks(circuit: Circuit, model: DelayModel) -> list[int]:
+    """Arrival time of every net in units of 1/``model._scale``: inputs at
+    0, each gate output at max(input arrivals) + its kind's delay.  One
+    integer pass over the circuit's schedule."""
+    schedule = _require_valid(circuit).schedule
+    ticks = model._ticks
+    gates = circuit.gates
+    arrival = [0] * circuit.net_count
+    for gi in schedule:
+        g = gates[gi]
+        arrival[g.output] = max([arrival[i] for i in g.inputs], default=0) + ticks[g.kind]
+    return arrival
+
+
+def _exact(circuit: Circuit, model: DelayModel, arrival: list[int]) -> dict[NetId, Fraction]:
+    """Integer arrivals as exact delays, keyed by every driven net."""
+    exact = {t: Fraction(t, model._scale) for t in set(arrival)}
+    nets = [net for p in circuit.inputs for net in p.bits]
+    nets += [circuit.gates[gi].output for gi in circuit._analysis.schedule]
+    return {net: exact[arrival[net]] for net in nets}
 
 
 def arrival_times(circuit: Circuit, model: DelayModel) -> dict[NetId, Fraction]:
     """Arrival time of every net: inputs at 0, each gate output at
     max(input arrivals) + its kind's delay.  One topological pass."""
-    _require_valid(circuit)
-    arrival: dict[NetId, Fraction] = {}
-    zero = Fraction(0)
-    for p in circuit.inputs:
-        for net in p.bits:
-            arrival[net] = zero
-    for gi in gate_schedule(circuit):
-        g = circuit.gates[gi]
-        base = max((arrival[i] for i in g.inputs), default=zero)
-        arrival[g.output] = base + model[g.kind]
-    return arrival
+    return _exact(circuit, model, _arrival_ticks(circuit, model))
 
 
 @dataclass(frozen=True)
@@ -137,10 +149,10 @@ def critical_path(circuit: Circuit, model: DelayModel) -> TimingReport:
     maximum-arrival predecessors backwards; ties break toward the lowest
     net id, so the path is reproducible.
     """
-    arrival = arrival_times(circuit, model)
+    ticks = _arrival_ticks(circuit, model)
     out_nets = sorted({net for p in circuit.outputs for net in p.bits})
-    best = max(arrival[n] for n in out_nets)
-    end = min(n for n in out_nets if arrival[n] == best)
+    best = max(ticks[n] for n in out_nets)
+    end = min(n for n in out_nets if ticks[n] == best)
 
     driver: dict[NetId, Gate] = {g.output: g for g in circuit.gates}
     path: list[Gate] = []
@@ -151,10 +163,11 @@ def critical_path(circuit: Circuit, model: DelayModel) -> TimingReport:
         if not g.inputs:
             break
         candidates = sorted(g.inputs)
-        peak = max(arrival[i] for i in candidates)
-        net = next(i for i in candidates if arrival[i] == peak)
+        peak = max(ticks[i] for i in candidates)
+        net = next(i for i in candidates if ticks[i] == peak)
     path.reverse()
-    return TimingReport(model.name, best, tuple(path), arrival)
+    arrival = _exact(circuit, model, ticks)
+    return TimingReport(model.name, arrival[end], tuple(path), arrival)
 
 
 @dataclass(frozen=True)
@@ -171,30 +184,18 @@ def area_report(circuit: Circuit) -> AreaReport:
 
 def depth(circuit: Circuit) -> int:
     """Depth in gate levels (= critical delay under the unit model)."""
-    d = critical_path(circuit, DelayModel.unit()).critical_delay
-    return int(d)
+    return _require_valid(circuit).depth
 
 
 def _fmt(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    # Exact decimal expansion when the denominator is 2^a * 5^b.
-    den = x.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den == 1:
-        k = max(twos, fives)
+    """Exact decimal when x has one (denominator 2^a * 5^b), else 6 digits."""
+    for k in range(x.denominator.bit_length()):
         scaled = x * 10**k
-        digits = f"{scaled.numerator:0{k + 1}d}"
-        sign = "-" if digits.startswith("-") else ""
-        digits = digits.lstrip("-")
-        digits = digits.rjust(k + 1, "0")
-        return f"{sign}{digits[:-k]}.{digits[-k:]}" if k else f"{sign}{digits}"
+        if scaled.denominator == 1:
+            if not k:
+                return str(scaled.numerator)
+            whole, frac = divmod(abs(scaled.numerator), 10**k)
+            return f"{'-' if x < 0 else ''}{whole}.{frac:0{k}d}"
     return f"{float(x):.6g}"
 
 

@@ -226,3 +226,120 @@ def test_builder_rejects_use_after_finalize():
     b.finalize()
     with pytest.raises(NetlistError, match="finalized"):
         b.add_input("B", 1, U)
+
+
+def test_out_of_order_with_multiple_drivers_violations():
+    # Gate 0 reads nets 2 and 3, which later gates drive -- twice each.
+    c = Circuit(
+        name="bad",
+        inputs=(Port("A", (0,), U),),
+        outputs=(Port("Y", (1, 3), U),),
+        gates=(
+            Gate(GateKind.AND2, (2, 3), 1),
+            Gate(GateKind.NOT, (0,), 2),
+            Gate(GateKind.BUF, (0,), 2),
+            Gate(GateKind.XOR2, (0, 2), 3),
+            Gate(GateKind.NOT, (0,), 3),
+        ),
+        net_count=4,
+    )
+    got = [(v.kind, v.message, v.net, v.gate_index) for v in validate(c)]
+    assert got == [
+        (ViolationKind.MULTIPLE_DRIVERS, "MultipleDrivers: net 2 has 2 drivers", 2, None),
+        (ViolationKind.MULTIPLE_DRIVERS, "MultipleDrivers: net 3 has 2 drivers", 3, None),
+    ]
+    with pytest.raises(ValidationError, match="invalid"):
+        gate_schedule(c)
+
+
+def _undriven_output():
+    return Circuit(
+        name="bad",
+        inputs=(Port("A", (0,), U),),
+        outputs=(Port("Y", (1,), U),),
+        gates=(),
+        net_count=2,
+    )
+
+
+def _net_out_of_range():
+    return Circuit(
+        name="bad",
+        inputs=(Port("A", (0,), U),),
+        outputs=(Port("Y", (1,), U),),
+        gates=(Gate(GateKind.NOT, (0,), 1), Gate(GateKind.NOT, (7,), 1)),
+        net_count=2,
+    )
+
+
+def test_gate_schedule_rejects_invalid_circuits():
+    for c in (_undriven_output(), _net_out_of_range()):
+        with pytest.raises(ValidationError) as exc:
+            gate_schedule(c)
+        assert exc.value.violations == validate(c) != []
+
+
+def test_validate_returns_a_fresh_list():
+    c = _undriven_output()
+    first = validate(c)
+    first.clear()
+    assert len(validate(c)) == 1
+
+
+def test_cached_analysis_is_not_part_of_the_value():
+    from gatemul.emit import from_json, to_json
+
+    c = build_fa()
+    twin = Circuit(c.name, c.inputs, c.outputs, c.gates, c.net_count)
+    assert validate(c) == []  # c now carries its analysis, twin does not
+    assert c == twin and hash(c) == hash(twin) and repr(c) == repr(twin)
+    assert from_json(to_json(c)) == c
+
+
+class TestAnalysedOnce:
+    """Each Circuit object is validated and ordered exactly once."""
+
+    @pytest.fixture
+    def analysed(self, monkeypatch):
+        import gatemul.netlist as netlist
+
+        seen = []
+        real = netlist._analyse
+
+        def counting(circuit):
+            seen.append(circuit)
+            return real(circuit)
+
+        monkeypatch.setattr(netlist, "_analyse", counting)
+        return seen
+
+    def test_builder_circuit_through_every_consumer(self, analysed):
+        from gatemul.emit import to_json, to_verilog
+        from gatemul.timing import DelayModel, critical_path, depth
+
+        c = build_fa()
+        to_json(c)
+        to_verilog(c)
+        critical_path(c, DelayModel.unit())
+        critical_path(c, DelayModel.tech_demo())
+        depth(c)
+        evaluate(c, {"a": 1, "x": 1, "cin": 0})
+        assert [id(x) for x in analysed] == [id(c)]
+
+    def test_compare_analyses_each_circuit_once(self, analysed):
+        from gatemul.multipliers import baugh_wooley_multiplier, booth_radix4_multiplier
+        from gatemul.timing import DelayModel, compare
+
+        bw, booth = baugh_wooley_multiplier(4), booth_radix4_multiplier(4)
+        compare([("bw", bw), ("booth4", booth)], DelayModel.tech_demo())
+        assert [id(c) for c in analysed] == [id(bw), id(booth)]
+
+    def test_loaded_circuit_simulated(self, analysed):
+        from gatemul.emit import from_json, to_json
+        from gatemul.sim import evaluate_vector_array
+
+        text = to_json(build_fa())
+        analysed.clear()
+        c = from_json(text)
+        evaluate_vector_array(c, {"a": [0, 1], "x": [1, 1], "cin": [1, 0]})
+        assert [id(x) for x in analysed] == [id(c)]

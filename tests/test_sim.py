@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gatemul.multipliers import baugh_wooley_multiplier, unsigned_array_multiplier
-from gatemul.netlist import CircuitBuilder, GateKind, Signedness
+from gatemul.netlist import (
+    Circuit,
+    CircuitBuilder,
+    Gate,
+    GateKind,
+    Port,
+    Signedness,
+    ValidationError,
+)
 from gatemul.sim import (
     decode,
     encode,
@@ -183,3 +191,39 @@ class TestWideArrays:
         b.add_output("Y", [b.add_gate(GateKind.BUF, [x]) for x in bits], U)
         with pytest.raises(ValueError, match="out of range"):
             evaluate_vector_array(b.finalize(), {"A": [0, 1 << 64]})
+
+
+class TestInvalidCircuits:
+    """Hand-assembled circuits that fail validation are never simulated."""
+
+    UNDRIVEN = Circuit(
+        name="bad",
+        inputs=(Port("A", (0,), U),),
+        outputs=(Port("Y", (1,), U),),
+        gates=(),
+        net_count=2,
+    )
+    GATE_OUT_OF_RANGE = Circuit(
+        name="bad",
+        inputs=(Port("A", (0,), U),),
+        outputs=(Port("Y", (1,), U),),
+        gates=(Gate(GateKind.NOT, (5,), 1),),
+        net_count=2,
+    )
+    OUTPUT_OUT_OF_RANGE = Circuit(
+        name="bad",
+        inputs=(Port("A", (0,), U),),
+        outputs=(Port("Y", (2,), U),),
+        gates=(Gate(GateKind.NOT, (0,), 1),),
+        net_count=2,
+    )
+
+    @pytest.mark.parametrize("c", [UNDRIVEN, GATE_OUT_OF_RANGE, OUTPUT_OUT_OF_RANGE])
+    def test_evaluate_rejects(self, c):
+        with pytest.raises(ValidationError, match="invalid"):
+            evaluate(c, {"A": 1})
+
+    @pytest.mark.parametrize("c", [UNDRIVEN, GATE_OUT_OF_RANGE, OUTPUT_OUT_OF_RANGE])
+    def test_vector_array_rejects(self, c):
+        with pytest.raises(ValidationError, match="invalid"):
+            evaluate_vector_array(c, {"A": [0, 1]})

@@ -9,6 +9,7 @@ from gatemul.multipliers import (
     MultiplierSpec,
     baugh_wooley_multiplier,
     decomposed_multiplier,
+    generate,
     unsigned_array_multiplier,
 )
 from gatemul.netlist import Circuit, CircuitBuilder, GateKind, Signedness
@@ -186,6 +187,46 @@ class TestCriticalPath:
         d = critical_path(c, UNIT).critical_delay
         assert d.denominator == 1
         assert depth(c) == d
+
+        # depth() comes from the level count of the structural analysis, not
+        # from STA; both must agree on every generator, on the Kahn path
+        # (a reversed gate list), and on outputs driven straight by CONST.
+        def agree(circ):
+            assert depth(circ) == critical_path(circ, UNIT).critical_delay
+
+        for n in (4, 8, 16):
+            specs = [
+                MultiplierSpec(n, n, S, S, Architecture.FLAT_BW),
+                MultiplierSpec(n, n, U, U, Architecture.FLAT_UNSIGNED_ARRAY),
+                MultiplierSpec(n, n, S, U, Architecture.FLAT_UNSIGNED_ARRAY),
+                MultiplierSpec(n, n, S, S, Architecture.BOOTH_RADIX4),
+                MultiplierSpec(n, n, S, S, Architecture.DECOMPOSED, leaf_width=2),
+                MultiplierSpec(n, n, S, S, Architecture.DECOMPOSED, leaf_width=n // 2,
+                               combiner=Combiner.RIPPLE_CASCADE),
+            ]
+            for spec in specs:
+                circ = generate(spec)
+                agree(circ)
+                agree(Circuit(
+                    name=circ.name, inputs=circ.inputs, outputs=circ.outputs,
+                    gates=tuple(reversed(circ.gates)), net_count=circ.net_count,
+                ))
+
+        b = CircuitBuilder("k")
+        (x,) = b.add_input("x", 1, U)
+        b.add_output("o", [b.const1(), x], U)
+        circ = b.finalize()
+        assert depth(circ) == 0
+        agree(circ)
+
+        # The DAGs of test_matches_brute_force_on_small_dags, same draws.
+        rng = random.Random(2024)
+        for i in range(50):
+            circ = random_circuit(rng, max_gates=20)
+            if i % 2:
+                _random_model(rng)
+            agree(circ)
+            assert depth(circ) == longest_path_delay(circ, UNIT)
 
     def test_witness_is_connected(self):
         c = baugh_wooley_multiplier(8)
