@@ -17,7 +17,7 @@ from .multipliers import (
     MultiplierSpec,
     generate,
 )
-from .netlist import Circuit, Signedness
+from .netlist import Circuit, Signedness, _with_signedness
 from .timing import DelayModel, area_report, compare, depth
 from .verify import verify_exhaustive, verify_random
 
@@ -86,23 +86,12 @@ def _cmd_gen(args) -> int:
 
 def _retag_signs(circuit: Circuit, sign_a: Signedness, sign_b: Signedness) -> Circuit:
     """Reinterpret the operand ports under the requested signedness."""
-    import dataclasses
-
-    pa, pb = circuit.inputs
-    po = circuit.outputs[0]
     out_sign = (
         Signedness.SIGNED
         if Signedness.SIGNED in (sign_a, sign_b)
         else Signedness.UNSIGNED
     )
-    return dataclasses.replace(
-        circuit,
-        inputs=(
-            dataclasses.replace(pa, signedness=sign_a),
-            dataclasses.replace(pb, signedness=sign_b),
-        ),
-        outputs=(dataclasses.replace(po, signedness=out_sign),),
-    )
+    return _with_signedness(circuit, (sign_a, sign_b), (out_sign,))
 
 
 def _load_circuit(path: str) -> Circuit:

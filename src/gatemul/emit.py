@@ -1,14 +1,17 @@
 """Serialization: structural Verilog and a lossless JSON interchange format.
 
-The JSON schema is normative for interchange:
+The JSON schema is normative for interchange (shown compactly here):
 
     {"name": ..., "net_count": N,
      "inputs":  [{"name": ..., "width": W, "signed": bool, "bits": [net, ...]}, ...],
      "outputs": [ ...same shape... ],
      "gates":   [{"kind": "AND2", "inputs": [net, net], "output": net}, ...]}
 
-Bit arrays are LSB-first net indices.  Loading validates structure and the
-netlist invariants; a round trip reproduces the circuit exactly.
+Bit arrays are LSB-first net indices.  :func:`to_json` writes exactly what
+``json.dumps(doc, indent=2)`` of that document gives, keys in the order
+above, plus a final LF; the layout is byte-stable.  Loading validates
+structure and the netlist invariants; a round trip reproduces the circuit
+exactly.
 """
 
 from __future__ import annotations
@@ -104,33 +107,74 @@ def to_verilog(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _port_doc(p: Port) -> dict:
-    return {
-        "name": p.name,
-        "width": p.width,
-        "signed": p.signedness is Signedness.SIGNED,
-        "bits": list(p.bits),
-    }
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _int_array(values, indent: str) -> str:
+    """Integers one per line, closing bracket at ``indent``, as
+    ``json.dumps(indent=2)`` lays out an array nested at that depth."""
+    if not values:
+        return "[]"
+    return f"[\n{indent}  " + f",\n{indent}  ".join(map(str, values)) + f"\n{indent}]"
+
+
+def _object_array(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+_DOC_JSON = (
+    '{\n  "name": %s,\n  "net_count": %d,\n  "inputs": %s,\n'
+    '  "outputs": %s,\n  "gates": %s\n}\n'
+)
+
+_PORT_JSON = (
+    '    {\n      "name": %s,\n      "width": %d,\n      "signed": %s,\n'
+    '      "bits": %s\n    }'
+)
+
+# One gate template per input count, which a valid circuit's gate kind fixes.
+_GATE_JSON = {
+    n: '    {\n      "kind": %s,\n      "inputs": '
+       + _int_array(("%d",) * n, "      ") + ',\n      "output": %d\n    }'
+    for n in {kind.arity for kind in GateKind}
+}
+
+
+def _port_json(p: Port) -> str:
+    signed = "true" if p.signedness is Signedness.SIGNED else "false"
+    return _PORT_JSON % (_quote(p.name), p.width, signed, _int_array(p.bits, "      "))
 
 
 def to_json(circuit: Circuit) -> str:
+    """The netlist document laid out exactly as ``json.dumps(doc, indent=2)``
+    plus a final LF.
+
+    It is written directly from the circuit: CPython serializes any indented
+    dump in its pure-Python encoder, which is several times slower.
+    """
     _require_valid(circuit)
-    doc = {
-        "name": circuit.name,
-        "net_count": circuit.net_count,
-        "inputs": [_port_doc(p) for p in circuit.inputs],
-        "outputs": [_port_doc(p) for p in circuit.outputs],
-        "gates": [
-            {"kind": g.kind.value, "inputs": list(g.inputs), "output": g.output}
-            for g in circuit.gates
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    templates = _GATE_JSON
+    gates = [
+        templates[len(g.inputs)] % (_quote(g.kind.value), *g.inputs, g.output)
+        for g in circuit.gates
+    ]
+    return _DOC_JSON % (
+        _quote(circuit.name),
+        circuit.net_count,
+        _object_array([_port_json(p) for p in circuit.inputs]),
+        _object_array([_port_json(p) for p in circuit.outputs]),
+        _object_array(gates),
+    )
 
 
 def _expect(cond: bool, where: str, what: str) -> None:
     if not cond:
         raise JsonFormatError(f"{where}: {what}")
+
+
+def _is_nonneg_int(value) -> bool:
+    """A non-negative JSON integer; ``true``/``false`` load as ``bool`` and are not."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _load_port(doc, where: str) -> Port:
@@ -139,13 +183,13 @@ def _load_port(doc, where: str) -> Port:
         _expect(key in doc, where, f"missing field {key!r}")
     name, width, signed, bits = doc["name"], doc["width"], doc["signed"], doc["bits"]
     _expect(isinstance(name, str) and name != "", where, "name must be a non-empty string")
-    _expect(isinstance(width, int) and width >= 1, where, "width must be a positive integer")
+    _expect(_is_nonneg_int(width) and width >= 1, where, "width must be a positive integer")
     _expect(isinstance(signed, bool), where, "signed must be a boolean")
     _expect(isinstance(bits, list), where, "bits must be an array")
     _expect(len(bits) == width, where, f"bits length {len(bits)} != width {width}")
     for i, net in enumerate(bits):
-        _expect(isinstance(net, int) and not isinstance(net, bool) and net >= 0,
-                f"{where}.bits[{i}]", "net index must be a non-negative integer")
+        _expect(_is_nonneg_int(net), f"{where}.bits[{i}]",
+                "net index must be a non-negative integer")
     return Port(
         name=name,
         bits=tuple(bits),
@@ -164,8 +208,7 @@ def from_json(text: str) -> Circuit:
         _expect(key in doc, "document", f"missing field {key!r}")
     _expect(isinstance(doc["name"], str) and doc["name"] != "",
             "name", "must be a non-empty string")
-    _expect(isinstance(doc["net_count"], int) and doc["net_count"] >= 0,
-            "net_count", "must be a non-negative integer")
+    _expect(_is_nonneg_int(doc["net_count"]), "net_count", "must be a non-negative integer")
     for key in ("inputs", "outputs", "gates"):
         _expect(isinstance(doc[key], list), key, "must be an array")
 
@@ -187,13 +230,18 @@ def from_json(text: str) -> Circuit:
                 where, f"unknown gate kind {g['kind']!r}")
         _expect(isinstance(g["inputs"], list), where, "inputs must be an array")
         for j, net in enumerate(g["inputs"]):
-            _expect(isinstance(net, int) and not isinstance(net, bool) and net >= 0,
-                    f"{where}.inputs[{j}]", "net index must be a non-negative integer")
+            _expect(_is_nonneg_int(net), f"{where}.inputs[{j}]",
+                    "net index must be a non-negative integer")
         out = g["output"]
-        _expect(isinstance(out, int) and not isinstance(out, bool) and out >= 0,
-                f"{where}.output", "net index must be a non-negative integer")
+        _expect(_is_nonneg_int(out), f"{where}.output", "net index must be a non-negative integer")
         gates.append(Gate(kind=kinds[g["kind"]], inputs=tuple(g["inputs"]), output=out))
 
+    # Each net is driven by exactly one input bit or gate, so a larger count
+    # is invalid; rejecting it here also keeps the per-net tables of the
+    # validation from being sized by an arbitrary number.
+    drivers = sum(p.width for p in inputs) + len(gates)
+    _expect(doc["net_count"] <= drivers, "net_count",
+            f"{doc['net_count']} exceeds the {drivers} nets that input bits and gates drive")
     circuit = Circuit(
         name=doc["name"],
         inputs=tuple(inputs),

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
 from enum import Enum
@@ -35,31 +35,30 @@ class Signedness(Enum):
 
 
 class GateKind(Enum):
-    CONST0 = "CONST0"
-    CONST1 = "CONST1"
-    NOT = "NOT"
-    BUF = "BUF"
-    AND2 = "AND2"
-    NAND2 = "NAND2"
-    OR2 = "OR2"
-    NOR2 = "NOR2"
-    XOR2 = "XOR2"
-    XNOR2 = "XNOR2"
+    """Primitive gate kinds; each member's ``arity`` is its input count."""
+
+    def __new__(cls, value: str, arity: int):
+        member = object.__new__(cls)
+        member._value_ = value
+        # A plain attribute: the builder and the analysis read it per gate,
+        # where an ``ARITY[kind]`` lookup would hash the member in Python.
+        member.arity = arity
+        return member
+
+    CONST0 = ("CONST0", 0)
+    CONST1 = ("CONST1", 0)
+    NOT = ("NOT", 1)
+    BUF = ("BUF", 1)
+    AND2 = ("AND2", 2)
+    NAND2 = ("NAND2", 2)
+    OR2 = ("OR2", 2)
+    NOR2 = ("NOR2", 2)
+    XOR2 = ("XOR2", 2)
+    XNOR2 = ("XNOR2", 2)
 
 
 #: Number of inputs each gate kind takes.
-ARITY: dict[GateKind, int] = {
-    GateKind.CONST0: 0,
-    GateKind.CONST1: 0,
-    GateKind.NOT: 1,
-    GateKind.BUF: 1,
-    GateKind.AND2: 2,
-    GateKind.NAND2: 2,
-    GateKind.OR2: 2,
-    GateKind.NOR2: 2,
-    GateKind.XOR2: 2,
-    GateKind.XNOR2: 2,
-}
+ARITY: dict[GateKind, int] = {kind: kind.arity for kind in GateKind}
 
 
 class NetlistError(ValueError):
@@ -154,7 +153,7 @@ def _analyse(circuit: Circuit) -> _Analysis:
         out.append(Violation(kind, f"{kind.value}: {what}", **where))
 
     for gi, g in enumerate(gates):
-        want = ARITY[g.kind]
+        want = g.kind.arity
         if len(g.inputs) != want:
             flag(ViolationKind.ARITY_MISMATCH,
                  f"gate {gi} ({g.kind.value}) has {len(g.inputs)} inputs, expected {want}",
@@ -273,6 +272,26 @@ def gate_schedule(circuit: Circuit) -> list[int]:
     return list(_require_valid(circuit).schedule)
 
 
+def _with_signedness(
+    circuit: Circuit, inputs: Sequence[Signedness], outputs: Sequence[Signedness]
+) -> Circuit:
+    """``circuit`` with each port's signedness replaced, in port order.
+
+    The copy shares the original's cached analysis instead of computing it
+    again: the gates and nets are the same, and the analysis does not read
+    signedness.
+    """
+    copy = replace(
+        circuit,
+        inputs=tuple(replace(p, signedness=s)
+                     for p, s in zip(circuit.inputs, inputs, strict=True)),
+        outputs=tuple(replace(p, signedness=s)
+                      for p, s in zip(circuit.outputs, outputs, strict=True)),
+    )
+    copy.__dict__["_analysis"] = circuit._analysis
+    return copy
+
+
 class CircuitBuilder:
     """Append-only constructor for :class:`Circuit`.
 
@@ -290,7 +309,9 @@ class CircuitBuilder:
         self._outputs: list[Port] = []
         self._gates: list[Gate] = []
         self._net_count = 0
-        self._const_nets: dict[GateKind, NetId] = {}
+        # The shared constant nets, once allocated.
+        self._const0: NetId | None = None
+        self._const1: NetId | None = None
         self._done = False
 
     @property
@@ -341,9 +362,9 @@ class CircuitBuilder:
         """Append a gate over existing nets; returns its fresh output net."""
         self._check_open()
         ins = tuple(inputs)
-        if len(ins) != ARITY[kind]:
+        if len(ins) != kind.arity:
             raise NetlistError(
-                f"{kind.value} takes {ARITY[kind]} inputs, got {len(ins)}"
+                f"{kind.value} takes {kind.arity} inputs, got {len(ins)}"
             )
         for net in ins:
             if not 0 <= net < self._net_count:
@@ -354,24 +375,21 @@ class CircuitBuilder:
 
     def const0(self) -> NetId:
         """Net holding constant 0 (one shared CONST0 gate per builder)."""
-        return self._const(GateKind.CONST0)
+        if self._const0 is None:
+            self._const0 = self.add_gate(GateKind.CONST0, ())
+        return self._const0
 
     def const1(self) -> NetId:
         """Net holding constant 1 (one shared CONST1 gate per builder)."""
-        return self._const(GateKind.CONST1)
-
-    def _const(self, kind: GateKind) -> NetId:
-        net = self._const_nets.get(kind)
-        if net is None:
-            net = self.add_gate(kind, [])
-            self._const_nets[kind] = net
-        return net
+        if self._const1 is None:
+            self._const1 = self.add_gate(GateKind.CONST1, ())
+        return self._const1
 
     def is_const0(self, net: NetId) -> bool:
-        return self._const_nets.get(GateKind.CONST0) == net
+        return self._const0 == net
 
     def is_const1(self, net: NetId) -> bool:
-        return self._const_nets.get(GateKind.CONST1) == net
+        return self._const1 == net
 
     def finalize(self) -> Circuit:
         """Validate and freeze the circuit."""

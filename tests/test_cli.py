@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +97,37 @@ class TestVerify:
         path.write_bytes(b"\xff\xfe")
         assert run(["verify", str(path)]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_huge_net_count_exits_2_without_traceback(self, tmp_path):
+        # 2**62 nets: a per-net table of that size fails at once (a list
+        # repeat past its size limit), so the check must come before it.
+        doc = json.loads(to_json(baugh_wooley_multiplier(4)))
+        drivers = doc["net_count"]
+        doc["net_count"] = 2**62
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "gatemul.cli", "verify", str(path)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (f"error: net_count: {2**62} exceeds the {drivers} "
+                               "nets that input bits and gates drive\n")
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(net_count=True),
+        lambda doc: doc["inputs"][0].update(width=True, bits=[0]),
+    ], ids=["net_count", "width"])
+    def test_boolean_count_exits_2(self, tmp_path, capsys, edit):
+        doc = json.loads(to_json(baugh_wooley_multiplier(4)))
+        edit(doc)
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        assert run(["verify", str(path)]) == 2
+        assert "must be a" in capsys.readouterr().err
 
     def test_64_bit_pass_and_mutant_fail(self, tmp_path, capsys):
         out = tmp_path / "bw64.json"

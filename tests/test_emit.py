@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gatemul.emit import JsonFormatError, from_json, to_json, to_verilog
 from gatemul.genlib import full_adder
@@ -19,7 +20,7 @@ from gatemul.multipliers import (
     mixed_sign_multiplier,
     unsigned_array_multiplier,
 )
-from gatemul.netlist import CircuitBuilder, Signedness
+from gatemul.netlist import Circuit, CircuitBuilder, Gate, GateKind, Port, Signedness
 from gatemul.sim import evaluate_vector_array, value_range
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -28,6 +29,8 @@ U = Signedness.UNSIGNED
 
 # Frozen after exhaustive/random oracle verification of the generator.
 D16_SHA256 = "c644eb92736456bc1e3c0f2e81d28890d7fee7cd9a47054e3bb258cd75f47cc4"
+# The same circuit's to_json text, recorded from the json.dumps(indent=2) writer.
+D16_JSON_SHA256 = "b7f42420386851de9e255a980bc90380e0806be84d96c69a1ec4fae95dcb203a"
 
 
 def _fa_circuit():
@@ -39,6 +42,11 @@ def _fa_circuit():
     b.add_output("s", [s], U)
     b.add_output("c", [c], U)
     return b.finalize()
+
+
+# Any character, with JSON's escaped ones drawn often.
+_NAME_CHARS = st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\u00e9\u2028'),
+                        st.characters())
 
 
 def _all_generated():
@@ -81,6 +89,11 @@ class TestVerilog:
         text = to_verilog(decomposed_multiplier(spec))
         assert hashlib.sha256(text.encode()).hexdigest() == D16_SHA256
 
+    def test_d16_json_frozen_hash(self):
+        spec = MultiplierSpec(16, 16, S, S, Architecture.DECOMPOSED, leaf_width=4)
+        text = to_json(decomposed_multiplier(spec))
+        assert hashlib.sha256(text.encode()).hexdigest() == D16_JSON_SHA256
+
     def test_lf_line_endings(self):
         text = to_verilog(baugh_wooley_multiplier(4))
         assert "\r" not in text
@@ -97,6 +110,32 @@ class TestJsonRoundTrip:
     def test_structural_identity_for_every_generator(self):
         for c in _all_generated():
             assert from_json(to_json(c)) == c
+
+    def test_layout_is_indented_json_dumps(self):
+        for c in _all_generated():
+            text = to_json(c)
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(names=st.lists(st.text(_NAME_CHARS, min_size=1, max_size=8),
+                          min_size=4, max_size=4, unique=True),
+           signs=st.lists(st.sampled_from([S, U]), min_size=4, max_size=4),
+           const=st.sampled_from([GateKind.CONST0, GateKind.CONST1]))
+    def test_any_names_round_trip_as_indented_json(self, names, signs, const):
+        # Quotes, backslashes, control characters and non-ASCII in every
+        # name, 1-bit ports, and a CONST gate with an empty input list.
+        circuit_name, a, b, p = names
+        c = Circuit(
+            name=circuit_name,
+            inputs=(Port(a, (0,), signs[0]), Port(b, (1, 2), signs[1])),
+            outputs=(Port(p, (4,), signs[2]), Port(a, (3, 0), signs[3])),
+            gates=(Gate(const, (), 3), Gate(GateKind.XOR2, (0, 3), 4)),
+            net_count=5,
+        )
+        text = to_json(c)
+        assert text.isascii()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert from_json(text) == c
 
     def test_schema_fields(self):
         doc = json.loads(to_json(baugh_wooley_multiplier(4)))
@@ -148,6 +187,27 @@ class TestJsonErrors:
         doc["inputs"][0]["bits"] = [0, 1]
         with pytest.raises(JsonFormatError, match="bits length"):
             from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("where, edit", [
+        ("net_count", lambda doc: doc.update(net_count=True)),
+        ("net_count", lambda doc: doc.update(net_count=False)),
+        (r"inputs\[0\]", lambda doc: doc["inputs"][0].update(width=True)),
+        (r"gates\[2\]\.output", lambda doc: doc["gates"][2].update(output=True)),
+    ], ids=["net_count_true", "net_count_false", "width", "gate_output"])
+    def test_booleans_are_not_integers(self, where, edit):
+        doc = json.loads(to_json(_fa_circuit()))
+        edit(doc)
+        with pytest.raises(JsonFormatError, match=rf"^{where}: .*integer"):
+            from_json(json.dumps(doc))
+
+    def test_net_count_beyond_drivers_rejected(self):
+        doc = json.loads(to_json(_fa_circuit()))
+        assert doc["net_count"] == 3 + len(doc["gates"])
+        for count in (doc["net_count"] + 1, 2**62):
+            doc["net_count"] = count
+            with pytest.raises(JsonFormatError,
+                               match=rf"^net_count: {count} exceeds the 8 nets"):
+                from_json(json.dumps(doc))
 
     def test_undriven_reference_rejected(self):
         doc = json.loads(to_json(baugh_wooley_multiplier(4)))

@@ -99,6 +99,92 @@ def test_unallocated_net_rejected():
         b.add_output("Y", [a0 + 5], U)
 
 
+def test_builder_error_messages():
+    b = CircuitBuilder("t")
+    a0, a1 = b.add_input("A", 2, U)
+    cases = [
+        (lambda: b.add_gate(GateKind.NOT, [a0, a1]), "NOT takes 1 inputs, got 2"),
+        (lambda: b.add_gate(GateKind.XOR2, [a0]), "XOR2 takes 2 inputs, got 1"),
+        (lambda: b.add_gate(GateKind.CONST1, [a0]), "CONST1 takes 0 inputs, got 1"),
+        (lambda: b.add_gate(GateKind.AND2, [a0, 7]), "gate references unallocated net 7"),
+        (lambda: b.add_gate(GateKind.BUF, [-1]), "gate references unallocated net -1"),
+        (lambda: b.add_output("Y", [a1, 2], U), "output port 'Y' references unallocated net 2"),
+    ]
+    for call, message in cases:
+        with pytest.raises(NetlistError) as err:
+            call()
+        assert str(err.value) == message
+    assert (b.net_count, b.gate_count) == (2, 0)
+
+
+def test_constants_shared_and_recognised():
+    b = CircuitBuilder("t")
+    (a0,) = b.add_input("A", 1, U)
+    assert not b.is_const0(a0) and not b.is_const1(a0)
+    one = b.const1()
+    assert (one, b.const1()) == (1, 1)
+    assert b.is_const1(one) and not b.is_const0(one)
+    zero = b.const0()
+    assert (zero, b.const0()) == (2, 2)
+    assert b.is_const0(zero) and not b.is_const1(zero)
+    b.add_output("Y", [one, zero, a0], U)
+    assert [g.kind for g in b.finalize().gates] == [GateKind.CONST1, GateKind.CONST0]
+
+
+def test_arity_table_matches_members():
+    from gatemul.netlist import ARITY
+
+    assert ARITY == {
+        GateKind.CONST0: 0, GateKind.CONST1: 0, GateKind.NOT: 1, GateKind.BUF: 1,
+        GateKind.AND2: 2, GateKind.NAND2: 2, GateKind.OR2: 2, GateKind.NOR2: 2,
+        GateKind.XOR2: 2, GateKind.XNOR2: 2,
+    }
+    assert all(kind.arity == n for kind, n in ARITY.items())
+    assert [GateKind(k.value) for k in GateKind] == list(GateKind)
+
+
+def _every_spec(n):
+    from gatemul.multipliers import Architecture, Combiner, MultiplierSpec
+
+    for comb in Combiner:
+        yield MultiplierSpec(n, n, S, S, Architecture.FLAT_BW, combiner=comb)
+        for sa, sb in ((U, U), (S, U), (U, S)):
+            yield MultiplierSpec(n, n, sa, sb, Architecture.FLAT_UNSIGNED_ARRAY, combiner=comb)
+        yield MultiplierSpec(n, n, S, S, Architecture.BOOTH_RADIX4, combiner=comb)
+        leaf = 2
+        while leaf < n:
+            for sa in (S, U):
+                for sb in (S, U):
+                    yield MultiplierSpec(n, n, sa, sb, Architecture.DECOMPOSED,
+                                         leaf_width=leaf, combiner=comb)
+            leaf *= 2
+
+
+# sha256 over every generator's name, net count and gate list (kind, inputs,
+# output, in order), recorded before the builder stopped keying its
+# constant nets and arity checks by GateKind.
+GATE_LIST_SHA256 = {
+    4: "136a24a874ec8b3c7fc791f0fe56eba74e18dbfc906cec4e7edc35d32f56f37e",
+    8: "994d56a5f7312686ea5dfe828e97bec71366f12fab608d2b3792cc178359e01a",
+    16: "3911a17e4eb9083fad358f95ad36c8d4096e0d3d035c9c84146259c5123e30a5",
+}
+
+
+@pytest.mark.parametrize("n", sorted(GATE_LIST_SHA256))
+def test_generators_number_nets_and_gates_as_recorded(n):
+    import hashlib
+
+    from gatemul.multipliers import generate
+
+    h = hashlib.sha256()
+    for spec in _every_spec(n):
+        c = generate(spec)
+        h.update(f"{c.name} {c.net_count}\n".encode())
+        for g in c.gates:
+            h.update(f"{g.kind.value} {' '.join(map(str, g.inputs))} {g.output}\n".encode())
+    assert h.hexdigest() == GATE_LIST_SHA256[n]
+
+
 def test_xor_self_is_zero():
     b = CircuitBuilder("t")
     (a0,) = b.add_input("A", 1, U)
@@ -333,6 +419,19 @@ class TestAnalysedOnce:
         bw, booth = baugh_wooley_multiplier(4), booth_radix4_multiplier(4)
         compare([("bw", bw), ("booth4", booth)], DelayModel.tech_demo())
         assert [id(c) for c in analysed] == [id(bw), id(booth)]
+
+    def test_verify_with_sign_override_analyses_once(self, analysed, tmp_path, capsys):
+        from gatemul.cli import main
+        from gatemul.emit import to_json
+        from gatemul.multipliers import unsigned_array_multiplier
+
+        path = tmp_path / "a4.json"
+        path.write_text(to_json(unsigned_array_multiplier(4)))
+        analysed.clear()
+        assert main(["verify", str(path), "--exhaustive",
+                     "--sign-a", "signed", "--sign-b", "signed"]) == 1
+        assert len(analysed) == 1
+        capsys.readouterr()
 
     def test_loaded_circuit_simulated(self, analysed):
         from gatemul.emit import from_json, to_json
