@@ -18,7 +18,7 @@ from .multipliers import (
     generate,
 )
 from .netlist import Circuit, Signedness, _with_signedness
-from .timing import DelayModel, area_report, compare, depth
+from .timing import DelayModel, compare, depth
 from .verify import verify_exhaustive, verify_random
 
 _ARCH_TOKENS = {
@@ -76,9 +76,8 @@ def _cmd_gen(args) -> int:
     except OSError as exc:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return 2
-    area = area_report(circuit)
     print(
-        f"{circuit.name}: {area.total_gates} gates, "
+        f"{circuit.name}: {len(circuit.gates)} gates, "
         f"unit-delay depth {depth(circuit)}, wrote {out}"
     )
     return 0
@@ -185,6 +184,16 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _nonneg_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gatemul",
@@ -211,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="sweep all pairs (default)")
     mode.add_argument("--random", type=int, metavar="N",
                       help="N seeded random vectors plus boundary pairs")
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=_nonneg_int, default=0)
     ver.add_argument("--format", choices=["text", "json"], default="text")
     ver.set_defaults(func=_cmd_verify)
 

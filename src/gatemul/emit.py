@@ -201,7 +201,10 @@ def from_json(text: str) -> Circuit:
     """Parse and validate a netlist document; inverse of :func:`to_json`."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integer literals past the
+        # int-from-string digit limit; RecursionError, arrays or objects
+        # nested past the recursion limit.
         raise JsonFormatError(f"not valid JSON: {exc}") from exc
     _expect(isinstance(doc, dict), "document", "expected a JSON object")
     for key in ("name", "net_count", "inputs", "outputs", "gates"):

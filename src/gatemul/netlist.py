@@ -45,6 +45,11 @@ class GateKind(Enum):
         member.arity = arity
         return member
 
+    # Members are singletons compared by identity, so identity hashing keeps
+    # every dict and Counter lookup by kind; Enum's own ``__hash__`` is a
+    # Python-level call (``hash(self._name_)``) on every per-gate lookup.
+    __hash__ = object.__hash__
+
     CONST0 = ("CONST0", 0)
     CONST1 = ("CONST1", 0)
     NOT = ("NOT", 1)

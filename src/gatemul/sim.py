@@ -7,16 +7,19 @@ result.  Batch evaluation packs many vectors into the bits of one Python
 integer per net and runs the same gate table once per chunk; outputs are
 bit-identical to scalar evaluation.  Port values travel as int64 arrays when
 the port's range fits in int64 and as object arrays of exact Python ints
-otherwise, so the array path is exact at every width.
+otherwise, so the array path is exact at every width.  numpy is imported
+inside the functions that build or read those arrays, not at module top, so
+importing gatemul (as ``gen`` and ``compare`` do) does not load it.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .netlist import Circuit, GateKind, Signedness, _require_valid
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 _M64 = (1 << 64) - 1
@@ -29,6 +32,8 @@ def fits_int64(*values: int) -> bool:
 
 def port_dtype(width: int, signedness: Signedness):
     """Array dtype for a port's values: int64 if its range fits, else object."""
+    import numpy as np
+
     return np.int64 if fits_int64(*value_range(width, signedness)) else object
 
 
@@ -135,6 +140,8 @@ def _pack_port(values: np.ndarray, width: int) -> list[int]:
     its own single limb, an object array of Python ints is cut into as many
     limbs as the width needs.
     """
+    import numpy as np
+
     if values.dtype == object:
         limbs = [
             ((values >> base) & _M64).astype(np.uint64) for base in range(0, width, 64)
@@ -151,6 +158,8 @@ def _pack_port(values: np.ndarray, width: int) -> list[int]:
 def _unpack_port(
     lanes: Sequence[int], width: int, count: int, signedness: Signedness
 ) -> np.ndarray:
+    import numpy as np
+
     nbytes = (count + 7) // 8
     limbs = [np.zeros(count, dtype=np.uint64) for _ in range(0, width, 64)]
     for j, lane in enumerate(lanes):
@@ -184,6 +193,8 @@ def evaluate_vector_array(
     output is an int64 array when its port's range fits in int64, else an
     object array of exact Python ints.
     """
+    import numpy as np
+
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     schedule = _require_valid(circuit).schedule

@@ -5,18 +5,22 @@ compare.  When every operand and every product fits in int64 (decided from
 the port ranges with Python ints) it multiplies numpy int64 arrays;
 otherwise it multiplies exact Python ints.  It never touches generator or
 simulator word paths, so a bug in the netlist machinery cannot hide itself.
+numpy is imported inside the functions that use it, not at module top, so
+importing gatemul (as ``gen`` and ``compare`` do) does not load it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .multipliers import MultiplierSpec
 from .netlist import Circuit
 from .sim import evaluate_vector_array, fits_int64, port_dtype, value_range
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: PRNG identifier recorded in random reports.
 RANDOM_ALGORITHM = "numpy-pcg64"
@@ -108,6 +112,8 @@ def _oracle(a_vals: np.ndarray, b_vals: np.ndarray, spec: MultiplierSpec) -> np.
     The product is an int64 array when every operand and product fits in
     int64, else an object array of exact Python ints.
     """
+    import numpy as np
+
     lo_a, hi_a = value_range(spec.width_a, spec.sign_a)
     lo_b, hi_b = value_range(spec.width_b, spec.sign_b)
     bad = (a_vals < lo_a) | (a_vals > hi_a) | (b_vals < lo_b) | (b_vals > hi_b)
@@ -121,6 +127,8 @@ def _oracle(a_vals: np.ndarray, b_vals: np.ndarray, spec: MultiplierSpec) -> np.
 
 
 def _run(circuit: Circuit, spec: MultiplierSpec, a_vals, b_vals, sort_failures: bool):
+    import numpy as np
+
     pa, pb, po = _ports(circuit, spec)
     expected = _oracle(a_vals, b_vals, spec)
     out = evaluate_vector_array(circuit, {pa.name: a_vals, pb.name: b_vals})
@@ -144,6 +152,8 @@ def verify_exhaustive(
     circuit: Circuit, spec: MultiplierSpec, max_width: int = 8
 ) -> VerifyReport:
     """Sweep every operand pair; collects all failures, never stops early."""
+    import numpy as np
+
     if max(spec.width_a, spec.width_b) > max_width:
         raise ValueError(
             f"width {max(spec.width_a, spec.width_b)} exceeds the exhaustive cap "
@@ -182,6 +192,8 @@ def _draw(rng: np.random.Generator, width: int, signedness, count: int) -> np.nd
     ``lo`` is then added.  For 64-bit unsigned this is one unmasked uint64
     per value, and nothing is ever rejected.
     """
+    import numpy as np
+
     lo, hi = value_range(width, signedness)
     if fits_int64(lo, hi):
         return rng.integers(lo, hi, size=count, dtype=np.int64, endpoint=True)
@@ -212,6 +224,8 @@ def verify_random(
     generator draws ``count`` values for A, then ``count`` for B (see
     :func:`_draw` for operand ranges wider than int64).
     """
+    import numpy as np
+
     if count < 1:
         raise ValueError("count must be >= 1")
     ba = boundary_values(spec.width_a, spec.sign_a)

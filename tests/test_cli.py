@@ -16,8 +16,24 @@ from test_emit import D16_SHA256
 from test_verify import flip_gate, partial_product_gates
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run(args):
     return main(args)
+
+
+def _run_python(argv):
+    """A fresh interpreter that imports gatemul from this checkout."""
+    return subprocess.run(
+        [sys.executable, *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def _run_cli(args):
+    return _run_python(["-m", "gatemul.cli", *args])
 
 
 class TestGen:
@@ -106,16 +122,38 @@ class TestVerify:
         doc["net_count"] = 2**62
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc))
-        src = Path(__file__).resolve().parent.parent / "src"
-        proc = subprocess.run(
-            [sys.executable, "-m", "gatemul.cli", "verify", str(path)],
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = _run_cli(["verify", str(path)])
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == (f"error: net_count: {2**62} exceeds the {drivers} "
                                "nets that input bits and gates drive\n")
+
+    @pytest.mark.parametrize("text", [
+        "[" * 200_000,
+        '{"name": "m", "net_count": 1' + "0" * 5000 + "}",
+    ], ids=["deep_nesting", "long_int_literal"])
+    def test_unparseable_json_exits_2_without_traceback(self, tmp_path, text):
+        # Past the recursion limit json.loads raises RecursionError, and past
+        # the int-from-string digit limit a plain ValueError.
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        proc = _run_cli(["verify", str(path)])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: not valid JSON: ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_negative_seed_rejected_by_parser(self, tmp_path, capsys):
+        out = tmp_path / "bw4.json"
+        run(["gen", "--arch", "bw", "--width", "4", "--out", str(out)])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(out), "--random", "10", "--seed", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seed: must be >= 0, got -1" in captured.err
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.update(net_count=True),
@@ -230,3 +268,51 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--width", "8"])  # missing --arch and --out
     assert exc.value.code == 2
+
+
+class TestNumpyOffStartup:
+    """gen and compare never load numpy; verify loads it on first use."""
+
+    def _numpy_loaded_after(self, body):
+        code = (
+            "import sys\n"
+            "import gatemul, gatemul.cli\n"
+            f"{body}\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        proc = _run_python(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1] == "True"
+
+    def test_import_leaves_numpy_unloaded(self):
+        assert not self._numpy_loaded_after("")
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--arch", "bw", "--width", "8", "--out", "{dir}/bw8.json"],
+        ["gen", "--arch", "decomposed", "--width", "8", "--out", "{dir}/d8.v"],
+        ["compare", "--width", "8", "--model", "tech-demo", "bw", "booth4",
+         "decomposed:4"],
+    ], ids=["gen_json", "gen_verilog", "compare"])
+    def test_gen_and_compare_leave_numpy_unloaded(self, tmp_path, argv):
+        argv = [a.format(dir=tmp_path) for a in argv]
+        assert not self._numpy_loaded_after(
+            f"assert gatemul.cli.main({argv!r}) == 0"
+        )
+
+    def test_verify_loads_numpy_and_passes(self, tmp_path):
+        out = tmp_path / "bw4.json"
+        out.write_text(to_json(baugh_wooley_multiplier(4)))
+        assert self._numpy_loaded_after(
+            "assert 'numpy' not in sys.modules\n"
+            f"assert gatemul.cli.main(['verify', {str(out)!r}]) == 0\n"
+            f"assert gatemul.cli.main(['verify', {str(out)!r}, '--random', '50']) == 0"
+        )
+
+    def test_cli_names_the_verify_functions(self):
+        # A wrapper installed on gatemul.cli.verify_* must be what main() calls.
+        assert not self._numpy_loaded_after(
+            "import gatemul.verify as v\n"
+            "assert gatemul.cli.verify_random is v.verify_random\n"
+            "assert gatemul.cli.verify_exhaustive is v.verify_exhaustive\n"
+            "assert gatemul.verify.VerifyReport is gatemul.VerifyReport"
+        )

@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -141,6 +144,37 @@ def test_arity_table_matches_members():
     }
     assert all(kind.arity == n for kind, n in ARITY.items())
     assert [GateKind(k.value) for k in GateKind] == list(GateKind)
+
+
+class TestGateKindIdentity:
+    """Members hash by identity; every lookup by kind keeps its meaning."""
+
+    def test_value_lookup_returns_the_member(self):
+        for kind in GateKind:
+            assert GateKind(kind.value) is kind
+            assert GateKind[kind.name] is kind
+        assert GateKind("AND2") is GateKind.AND2
+
+    def test_pickle_and_copy_return_the_member(self):
+        for kind in GateKind:
+            assert pickle.loads(pickle.dumps(kind)) is kind
+            assert copy.copy(kind) is kind
+            assert copy.deepcopy(kind) is kind
+        gate = Gate(GateKind.XOR2, (0, 1), 2)
+        assert pickle.loads(pickle.dumps(gate)) == gate
+        assert hash(copy.deepcopy(gate)) == hash(gate)
+
+    def test_dict_and_counter_lookups(self):
+        table = {kind: i for i, kind in enumerate(GateKind)}
+        for i, kind in enumerate(GateKind):
+            assert table[GateKind(kind.value)] == i
+            assert table[pickle.loads(pickle.dumps(kind))] == i
+        kinds = [GateKind.AND2, GateKind.XOR2, GateKind.AND2, GateKind.NOT]
+        counts = Counter(GateKind(k.value) for k in kinds)
+        assert counts[GateKind.AND2] == 2
+        assert counts[GateKind.XOR2] == counts[GateKind.NOT] == 1
+        assert counts[GateKind.OR2] == 0
+        assert GateKind.AND2 in set(kinds) and GateKind.OR2 not in set(kinds)
 
 
 def _every_spec(n):

@@ -295,6 +295,23 @@ class TestCompare:
         csv_cells = [line.split(",") for line in t.to_csv().splitlines()]
         assert md_cells == csv_cells
 
+    def test_kind_rows_follow_definition_order(self):
+        # Rows come in GateKind definition order, never in hash order.
+        circuits = [
+            ("bw", baugh_wooley_multiplier(8)),
+            ("arr", unsigned_array_multiplier(8)),
+        ]
+        table = compare(circuits, UNIT)
+        counted = [m[: -len(" count")] for m, _ in table.rows if m.endswith(" count")]
+        used = {g.kind.value for _, c in circuits for g in c.gates}
+        assert counted == [k.value for k in GateKind if k.value in used]
+        assert [m for m, _ in table.rows] == [
+            "critical delay", "depth (gate levels)", "total gates",
+            "CONST0 count", "CONST1 count", "NOT count", "AND2 count",
+            "NAND2 count", "OR2 count", "XOR2 count", "XNOR2 count",
+            "delay ratio vs bw",
+        ]
+
     def test_needs_two_circuits(self):
         with pytest.raises(ValueError):
             compare([("x", baugh_wooley_multiplier(4))], UNIT)
