@@ -7,7 +7,6 @@ area under configurable delay models.
 """
 
 from .netlist import (
-    ARITY,
     Circuit,
     CircuitBuilder,
     Gate,
@@ -71,7 +70,6 @@ from .emit import JsonFormatError, from_json, to_json, to_verilog
 __version__ = "0.1.0"
 
 __all__ = [
-    "ARITY",
     "AreaReport",
     "Architecture",
     "Circuit",

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from .emit import JsonFormatError, from_json, to_json, to_verilog
 from .multipliers import (
@@ -31,33 +32,37 @@ _COMBINER_TOKENS = {"csa": Combiner.CSA_TREE, "ripple": Combiner.RIPPLE_CASCADE}
 _SIGN_TOKENS = {"signed": Signedness.SIGNED, "unsigned": Signedness.UNSIGNED}
 
 
-def _default_signs(arch: Architecture) -> Signedness:
-    if arch is Architecture.FLAT_UNSIGNED_ARRAY:
-        return Signedness.UNSIGNED
-    return Signedness.SIGNED
-
-
-def _make_spec(args) -> MultiplierSpec:
-    arch = _ARCH_TOKENS[args.arch]
-    sign_a = _SIGN_TOKENS[args.sign_a] if args.sign_a else _default_signs(arch)
-    sign_b = _SIGN_TOKENS[args.sign_b] if args.sign_b else _default_signs(arch)
-    leaf = args.leaf
+def _make_spec(
+    arch_token: str,
+    width: int,
+    leaf: int | None,
+    combiner: str,
+    sign_a: str | None = None,
+    sign_b: str | None = None,
+) -> MultiplierSpec:
+    """Spec for ``gen`` and ``compare`` from their tokens.  Signs default to
+    unsigned for ``array`` and signed otherwise; a decomposed leaf defaults
+    to half the width."""
+    arch = _ARCH_TOKENS[arch_token]
+    default_sign = "unsigned" if arch is Architecture.FLAT_UNSIGNED_ARRAY else "signed"
     if arch is Architecture.DECOMPOSED and leaf is None:
-        leaf = args.width // 2
+        leaf = width // 2
     return MultiplierSpec(
-        width_a=args.width,
-        width_b=args.width,
-        sign_a=sign_a,
-        sign_b=sign_b,
+        width_a=width,
+        width_b=width,
+        sign_a=_SIGN_TOKENS[sign_a or default_sign],
+        sign_b=_SIGN_TOKENS[sign_b or default_sign],
         architecture=arch,
-        leaf_width=leaf if arch is Architecture.DECOMPOSED else None,
-        combiner=_COMBINER_TOKENS[args.combiner],
+        leaf_width=leaf,
+        combiner=_COMBINER_TOKENS[combiner],
     )
 
 
 def _cmd_gen(args) -> int:
     try:
-        spec = _make_spec(args)
+        spec = _make_spec(
+            args.arch, args.width, args.leaf, args.combiner, args.sign_a, args.sign_b
+        )
         circuit = generate(spec)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -101,6 +106,17 @@ def _load_circuit(path: str) -> Circuit:
     return from_json(text)
 
 
+class _Operands(NamedTuple):
+    """What ``verify_random``/``verify_exhaustive`` read of their spec: the
+    operand widths and signs.  A netlist read from a file is not bound by
+    the generators' rules, so a 1-bit signed operand is verified too."""
+
+    width_a: int
+    width_b: int
+    sign_a: Signedness
+    sign_b: Signedness
+
+
 def _cmd_verify(args) -> int:
     try:
         circuit = _load_circuit(args.file)
@@ -116,13 +132,9 @@ def _cmd_verify(args) -> int:
     if (sign_a, sign_b) != (pa.signedness, pb.signedness):
         circuit = _retag_signs(circuit, sign_a, sign_b)
     try:
-        spec = MultiplierSpec(
-            width_a=pa.width,
-            width_b=pb.width,
-            sign_a=sign_a,
-            sign_b=sign_b,
-            architecture=Architecture.FLAT_UNSIGNED_ARRAY,
-        )
+        if pa.width != pb.width:
+            raise ValueError("width_a must equal width_b")
+        spec = _Operands(pa.width, pb.width, sign_a, sign_b)
         if args.random is not None:
             report = verify_random(circuit, spec, count=args.random, seed=args.seed)
         else:
@@ -137,41 +149,22 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _parse_compare_token(token: str, width: int, combiner: Combiner) -> Circuit:
-    name, _, leaf_text = token.partition(":")
-    if name not in _ARCH_TOKENS:
-        raise ValueError(f"unknown architecture token {token!r}")
-    arch = _ARCH_TOKENS[name]
-    leaf: int | None = None
-    if leaf_text:
-        if arch is not Architecture.DECOMPOSED:
-            raise ValueError(f"only decomposed takes a leaf suffix, got {token!r}")
-        leaf = int(leaf_text)
-    if arch is Architecture.DECOMPOSED and leaf is None:
-        leaf = width // 2
-    sign = _default_signs(arch)
-    spec = MultiplierSpec(
-        width_a=width,
-        width_b=width,
-        sign_a=sign,
-        sign_b=sign,
-        architecture=arch,
-        leaf_width=leaf if arch is Architecture.DECOMPOSED else None,
-        combiner=combiner,
-    )
-    return generate(spec)
-
-
 def _cmd_compare(args) -> int:
     if len(args.archs) < 2:
         print("error: compare needs at least two architecture tokens", file=sys.stderr)
         return 2
     try:
-        combiner = _COMBINER_TOKENS[args.combiner]
-        entries = [
-            (token, _parse_compare_token(token, args.width, combiner))
-            for token in args.archs
-        ]
+        entries = []
+        for token in args.archs:
+            name, _, leaf_text = token.partition(":")
+            if name not in _ARCH_TOKENS:
+                raise ValueError(f"unknown architecture token {token!r}")
+            try:
+                leaf = int(leaf_text) if leaf_text else None
+            except ValueError:
+                raise ValueError(f"invalid leaf in {token!r}") from None
+            spec = _make_spec(name, args.width, leaf, args.combiner)
+            entries.append((token, generate(spec)))
         model = DelayModel.by_name(args.model)
         table = compare(entries, model)
     except ValueError as exc:

@@ -1,19 +1,24 @@
 """Multiplier netlist generators.
 
-Four architectures share one partial-product/reduction backbone:
+:func:`generate` builds every multiplier from a :class:`MultiplierSpec`,
+whose ``__post_init__`` is the only width and signedness check; the named
+generators (``baugh_wooley_multiplier`` and the others) are shorthands for
+it.  Each architecture makes weighted rows for one reduction backbone:
 
-* flat unsigned array: pp[i][j] = a_i & b_j at column i+j;
-* flat Baugh-Wooley (signed x signed): the sign-bit cross terms are
-  complemented (NAND) and constant 1s are injected at columns n and 2n-1,
-  so every row stays positive and plain array reduction applies;
-* signed x unsigned (and mirrored) arrays: only the signed operand's MSB
-  terms are complemented, with correction 1s at columns n-1 and 2n-1;
+* flat arrays, one Baugh-Wooley rule for every signedness pair:
+  pp[i][j] = a_i & b_j at column i+j, complemented (NAND) iff exactly one
+  of a_i, b_j is a signed operand's MSB, so every row stays positive;
 * radix-4 recoded rows (Booth): n/2 rows selected from {0, +-B, +-2B} by
   overlapping 3-bit groups of A, negatives via complement plus a +1 dot;
 * four-quadrant decomposition: A and B are split in half, the four
-  half-width products (built by the mixed-sign generators, recursively
-  decomposed while the leaf width is below the half width) are shifted,
-  sign-extended and summed by the configured combiner.
+  half-width products (flat arrays, recursively decomposed while the
+  leaf width is below the half width) are shifted, sign-extended and
+  summed by the configured combiner.
+
+Every negative weight is folded the same way, -x * 2^k == (~x) * 2^k - 2^k
+(mod 2^2n): an inverted bit plus a correction constant, which
+:func:`_constant_rows` turns into 1-dots.  A flat array's constants land at
+columns n and 2n-1 (signed x signed) or n-1 and 2n-1 (a mixed pair).
 
 All generators are pure: the same spec always yields the same netlist.
 Products are exact two's-complement / binary integers of width 2n.
@@ -77,6 +82,9 @@ class MultiplierSpec:
                 raise ValueError("FlatBW requires sign_a = sign_b = Signed")
             if n < 2:
                 raise ValueError("FlatBW requires width >= 2")
+        elif arch is Architecture.FLAT_UNSIGNED_ARRAY:
+            if n < 2 and S in (self.sign_a, self.sign_b):
+                raise ValueError("signed width must be >= 2")
         elif arch is Architecture.BOOTH_RADIX4:
             if self.sign_a is not S or self.sign_b is not S:
                 raise ValueError("BoothRadix4 requires sign_a = sign_b = Signed")
@@ -116,6 +124,12 @@ def _sum_rows(
     return acc
 
 
+def _constant_rows(b: CircuitBuilder, correction: int, width: int) -> list[genlib.Row]:
+    """One constant-1 dot per set bit of ``correction`` mod 2**width."""
+    correction &= (1 << width) - 1
+    return [([b.const1()], col) for col in range(width) if (correction >> col) & 1]
+
+
 def _array_rows(
     b: CircuitBuilder,
     abits: list[NetId],
@@ -123,54 +137,26 @@ def _array_rows(
     sign_a: Signedness,
     sign_b: Signedness,
 ) -> list[genlib.Row]:
-    """Partial-product rows (with correction constants) for a flat array."""
+    """Partial-product rows (with correction constants) for a flat array.
+
+    A term has negative weight iff exactly one of its bits is a signed
+    operand's MSB; it becomes a NAND plus a -2^(i+j) correction.
+    """
     n = len(abits)
+    a_msb = n - 1 if sign_a is S else -1
+    b_msb = n - 1 if sign_b is S else -1
     rows: list[genlib.Row] = []
-    if sign_a is U and sign_b is U:
-        for i in range(n):
-            rows.append(([genlib.and2(b, abits[i], bbits[j]) for j in range(n)], i))
-        return rows
-    if sign_a is S and sign_b is S:
-        # Complement both MSB cross-term groups; +1 at columns n and 2n-1.
-        for i in range(n - 1):
-            bits = [genlib.and2(b, abits[i], bbits[j]) for j in range(n - 1)]
-            bits.append(genlib.nand2(b, abits[i], bbits[n - 1]))
-            rows.append((bits, i))
-        top = [genlib.nand2(b, abits[n - 1], bbits[j]) for j in range(n - 1)]
-        top.append(genlib.and2(b, abits[n - 1], bbits[n - 1]))
-        rows.append((top, n - 1))
-        rows.append(([b.const1()], n))
-        rows.append(([b.const1()], 2 * n - 1))
-        return rows
-    if sign_a is S and sign_b is U:
-        # Only A's sign row is complemented; +1 at columns n-1 and 2n-1.
-        for i in range(n - 1):
-            rows.append(([genlib.and2(b, abits[i], bbits[j]) for j in range(n)], i))
-        rows.append(([genlib.nand2(b, abits[n - 1], bbits[j]) for j in range(n)], n - 1))
-        rows.append(([b.const1()], n - 1))
-        rows.append(([b.const1()], 2 * n - 1))
-        return rows
-    # U x S: mirror of the S x U case, complementing B's sign column.
+    correction = 0
     for i in range(n):
-        bits = [genlib.and2(b, abits[i], bbits[j]) for j in range(n - 1)]
-        bits.append(genlib.nand2(b, abits[i], bbits[n - 1]))
+        bits = []
+        for j in range(n):
+            if (i == a_msb) != (j == b_msb):
+                bits.append(genlib.nand2(b, abits[i], bbits[j]))
+                correction -= 1 << (i + j)
+            else:
+                bits.append(genlib.and2(b, abits[i], bbits[j]))
         rows.append((bits, i))
-    rows.append(([b.const1()], n - 1))
-    rows.append(([b.const1()], 2 * n - 1))
-    return rows
-
-
-def _flat_product(
-    b: CircuitBuilder,
-    abits: list[NetId],
-    bbits: list[NetId],
-    sign_a: Signedness,
-    sign_b: Signedness,
-    combiner: Combiner,
-) -> list[NetId]:
-    n = len(abits)
-    rows = _array_rows(b, abits, bbits, sign_a, sign_b)
-    return _sum_rows(b, rows, 2 * n, combiner)
+    return rows + _constant_rows(b, correction, 2 * n)
 
 
 def _decomposed_product(
@@ -190,7 +176,7 @@ def _decomposed_product(
     def quadrant(x: list[NetId], y: list[NetId], sx: Signedness, sy: Signedness):
         if half > leaf:
             return _decomposed_product(b, x, y, sx, sy, leaf, combiner)
-        return _flat_product(b, x, y, sx, sy, combiner)
+        return _sum_rows(b, _array_rows(b, x, y, sx, sy), n, combiner)
 
     # Lower halves are plain magnitudes; upper halves inherit the operand sign.
     ll = quadrant(al, bl, U, U)
@@ -212,10 +198,7 @@ def _decomposed_product(
             rows.append((bits, weight))
     rows.append((hh, n))
     rows.append((ll, 0))  # last: its upper bits arrive latest
-    correction &= (1 << (2 * n)) - 1
-    for col in range(2 * n):
-        if (correction >> col) & 1:
-            rows.append(([b.const1()], col))
+    rows += _constant_rows(b, correction, 2 * n)
     return _sum_rows(b, rows, 2 * n, combiner)
 
 
@@ -250,46 +233,54 @@ def _booth_rows(
         correction -= 1 << (2 * g + n)
         rows.append((pp, 2 * g))
         rows.append(([neg], 2 * g))
-    correction &= (1 << (2 * n)) - 1
-    for col in range(2 * n):
-        if (correction >> col) & 1:
-            rows.append(([b.const1()], col))
-    return rows
+    return rows + _constant_rows(b, correction, 2 * n)
 
 
-def _build(
-    name: str,
-    n: int,
-    sign_a: Signedness,
-    sign_b: Signedness,
-    product_fn,
-) -> Circuit:
-    b = CircuitBuilder(name)
+def _circuit_name(spec: MultiplierSpec) -> str:
+    n = spec.width_a
+    arch = spec.architecture
+    if arch is Architecture.BOOTH_RADIX4:
+        return f"booth{n}"
+    if arch is Architecture.DECOMPOSED:
+        tok = "csa" if spec.combiner is Combiner.CSA_TREE else "ripple"
+        return f"dec{n}_{spec.leaf_width}_{tok}"
+    if spec.sign_a is S and spec.sign_b is S:
+        return f"bw{n}"
+    return f"array{n}{'s' if spec.sign_a is S else 'u'}{'s' if spec.sign_b is S else 'u'}"
+
+
+def generate(spec: MultiplierSpec) -> Circuit:
+    """Build the circuit described by ``spec``."""
+    n = spec.width_a
+    sign_a, sign_b, combiner = spec.sign_a, spec.sign_b, spec.combiner
+    b = CircuitBuilder(_circuit_name(spec))
     abits = b.add_input("A", n, sign_a)
     bbits = b.add_input("B", n, sign_b)
-    product = product_fn(b, abits, bbits)
+    arch = spec.architecture
+    if arch is Architecture.DECOMPOSED:
+        assert spec.leaf_width is not None
+        product = _decomposed_product(
+            b, abits, bbits, sign_a, sign_b, spec.leaf_width, combiner
+        )
+    elif arch is Architecture.BOOTH_RADIX4:
+        product = _sum_rows(b, _booth_rows(b, abits, bbits), 2 * n, combiner)
+    else:
+        rows = _array_rows(b, abits, bbits, sign_a, sign_b)
+        product = _sum_rows(b, rows, 2 * n, combiner)
     b.add_output("P", product, _product_sign(sign_a, sign_b))
     return b.finalize()
 
 
 def unsigned_array_multiplier(n: int, combiner: Combiner = Combiner.CSA_TREE) -> Circuit:
     """n x n unsigned array multiplier with a 2n-bit product."""
-    if n < 1:
-        raise ValueError("width must be >= 1")
-    return _build(
-        f"array{n}uu", n, U, U,
-        lambda b, a, bb: _flat_product(b, a, bb, U, U, combiner),
+    return generate(
+        MultiplierSpec(n, n, U, U, Architecture.FLAT_UNSIGNED_ARRAY, combiner=combiner)
     )
 
 
 def baugh_wooley_multiplier(n: int, combiner: Combiner = Combiner.CSA_TREE) -> Circuit:
     """n x n signed (two's complement) array multiplier, Baugh-Wooley form."""
-    if n < 2:
-        raise ValueError("signed width must be >= 2")
-    return _build(
-        f"bw{n}", n, S, S,
-        lambda b, a, bb: _flat_product(b, a, bb, S, S, combiner),
-    )
+    return generate(MultiplierSpec(n, n, S, S, Architecture.FLAT_BW, combiner=combiner))
 
 
 def mixed_sign_multiplier(
@@ -299,53 +290,19 @@ def mixed_sign_multiplier(
     combiner: Combiner = Combiner.CSA_TREE,
 ) -> Circuit:
     """Array multiplier for any operand signedness combination."""
-    if sign_a is U and sign_b is U:
-        return unsigned_array_multiplier(n, combiner)
-    if n < 2:
-        raise ValueError("signed width must be >= 2")
-    if sign_a is S and sign_b is S:
-        return baugh_wooley_multiplier(n, combiner)
-    tag = f"array{n}{'s' if sign_a is S else 'u'}{'s' if sign_b is S else 'u'}"
-    return _build(
-        tag, n, sign_a, sign_b,
-        lambda b, a, bb: _flat_product(b, a, bb, sign_a, sign_b, combiner),
+    spec = MultiplierSpec(
+        n, n, sign_a, sign_b, Architecture.FLAT_UNSIGNED_ARRAY, combiner=combiner
     )
+    return generate(spec)
 
 
 def booth_radix4_multiplier(n: int, combiner: Combiner = Combiner.CSA_TREE) -> Circuit:
     """n x n signed multiplier from radix-4 recoded partial products."""
-    if n < 4 or n % 2:
-        raise ValueError("radix-4 recoding requires even width >= 4")
-    return _build(
-        f"booth{n}", n, S, S,
-        lambda b, a, bb: _sum_rows(b, _booth_rows(b, a, bb), 2 * n, combiner),
-    )
+    return generate(MultiplierSpec(n, n, S, S, Architecture.BOOTH_RADIX4, combiner=combiner))
 
 
 def decomposed_multiplier(spec: MultiplierSpec) -> Circuit:
     """Four-quadrant decomposition of an n x n product down to flat leaves."""
     if spec.architecture is not Architecture.DECOMPOSED:
         raise ValueError("spec.architecture must be Decomposed")
-    n = spec.width_a
-    leaf = spec.leaf_width
-    assert leaf is not None
-    tok = "csa" if spec.combiner is Combiner.CSA_TREE else "ripple"
-    name = f"dec{n}_{leaf}_{tok}"
-    return _build(
-        name, n, spec.sign_a, spec.sign_b,
-        lambda b, a, bb: _decomposed_product(
-            b, a, bb, spec.sign_a, spec.sign_b, leaf, spec.combiner
-        ),
-    )
-
-
-def generate(spec: MultiplierSpec) -> Circuit:
-    """Build the circuit described by ``spec``."""
-    arch = spec.architecture
-    if arch is Architecture.FLAT_BW:
-        return baugh_wooley_multiplier(spec.width_a, spec.combiner)
-    if arch is Architecture.FLAT_UNSIGNED_ARRAY:
-        return mixed_sign_multiplier(spec.width_a, spec.sign_a, spec.sign_b, spec.combiner)
-    if arch is Architecture.BOOTH_RADIX4:
-        return booth_radix4_multiplier(spec.width_a, spec.combiner)
-    return decomposed_multiplier(spec)
+    return generate(spec)

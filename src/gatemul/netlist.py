@@ -41,7 +41,7 @@ class GateKind(Enum):
         member = object.__new__(cls)
         member._value_ = value
         # A plain attribute: the builder and the analysis read it per gate,
-        # where an ``ARITY[kind]`` lookup would hash the member in Python.
+        # where a dict lookup by kind would hash the member in Python.
         member.arity = arity
         return member
 
@@ -60,10 +60,6 @@ class GateKind(Enum):
     NOR2 = ("NOR2", 2)
     XOR2 = ("XOR2", 2)
     XNOR2 = ("XNOR2", 2)
-
-
-#: Number of inputs each gate kind takes.
-ARITY: dict[GateKind, int] = {kind: kind.arity for kind in GateKind}
 
 
 class NetlistError(ValueError):
@@ -97,18 +93,6 @@ class Circuit:
     outputs: tuple[Port, ...]
     gates: tuple[Gate, ...]
     net_count: int
-
-    def input_port(self, name: str) -> Port:
-        for p in self.inputs:
-            if p.name == name:
-                return p
-        raise KeyError(f"no input port named {name!r}")
-
-    def output_port(self, name: str) -> Port:
-        for p in self.outputs:
-            if p.name == name:
-                return p
-        raise KeyError(f"no output port named {name!r}")
 
     def input_nets(self) -> set[NetId]:
         return {n for p in self.inputs for n in p.bits}

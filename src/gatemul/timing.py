@@ -13,7 +13,7 @@ report's "path delay" measures.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
 from math import lcm
@@ -139,7 +139,6 @@ class TimingReport:
     model_name: str
     critical_delay: Fraction
     critical_path: tuple[Gate, ...]
-    arrival: dict[NetId, Fraction] = field(repr=False)
 
 
 def critical_path(circuit: Circuit, model: DelayModel) -> TimingReport:
@@ -166,8 +165,7 @@ def critical_path(circuit: Circuit, model: DelayModel) -> TimingReport:
         peak = max(ticks[i] for i in candidates)
         net = next(i for i in candidates if ticks[i] == peak)
     path.reverse()
-    arrival = _exact(circuit, model, ticks)
-    return TimingReport(model.name, arrival[end], tuple(path), arrival)
+    return TimingReport(model.name, Fraction(best, model._scale), tuple(path))
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,25 @@ class TestGen:
         assert evaluate(c, {"A": -8, "B": 15})["P"] == -120
 
 
+    def test_leaf_on_flat_arch_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = run(["gen", "--arch", "bw", "--width", "8", "--leaf", "4",
+                    "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: leaf_width only applies to the Decomposed architecture\n"
+        )
+        assert not out.exists()
+
+    def test_one_bit_signed_array_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = run(["gen", "--arch", "array", "--width", "1",
+                    "--sign-a", "signed", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: signed width must be >= 2\n"
+        assert not out.exists()
+
+
 class TestVerify:
     def test_exhaustive_pass(self, tmp_path, capsys):
         out = tmp_path / "bw8.json"
@@ -209,6 +228,14 @@ class TestVerify:
         assert run(["verify", str(out), "--sign-a", "signed",
                     "--sign-b", "signed"]) == 1
 
+    def test_one_bit_signed_netlist_is_verified(self, tmp_path, capsys):
+        path = tmp_path / "a1.json"
+        assert run(["gen", "--arch", "array", "--width", "1", "--out", str(path)]) == 0
+        capsys.readouterr()
+        # A 1-bit AND is also the signed x signed product: (-a)(-b) == ab.
+        assert run(["verify", str(path), "--sign-a", "signed", "--sign-b", "signed"]) == 0
+        assert "PASS (4 vectors, 0 failures)" in capsys.readouterr().out
+
     def test_exhaustive_width_cap_exits_2(self, tmp_path, capsys):
         out = tmp_path / "d16.json"
         run(["gen", "--arch", "decomposed", "--width", "16", "--leaf", "4",
@@ -263,6 +290,23 @@ class TestCompare:
         assert run(["compare", "--width", "8", "bw", "decomposed:0"]) == 2
         assert "leaf_width" in capsys.readouterr().err
 
+
+    def test_leaf_on_flat_token_rejected(self, capsys):
+        assert run(["compare", "--width", "8", "bw:4", "booth4"]) == 2
+        assert capsys.readouterr().err == (
+            "error: leaf_width only applies to the Decomposed architecture\n"
+        )
+
+    def test_non_integer_leaf_names_the_token(self, capsys):
+        assert run(["compare", "--width", "8", "decomposed:abc", "booth4"]) == 2
+        assert capsys.readouterr().err == "error: invalid leaf in 'decomposed:abc'\n"
+
+    def test_empty_leaf_suffix_means_default_leaf(self, capsys):
+        argv = ["compare", "--width", "8", "--format", "csv", "decomposed:", "decomposed:4"]
+        assert run(argv) == 0
+        for row in capsys.readouterr().out.splitlines()[1:]:
+            metric, default, leaf4 = row.split(",")
+            assert default == leaf4, metric
 
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
