@@ -1,12 +1,14 @@
 """Command-line front end: generate, verify, and compare multiplier netlists.
 
 Exit codes are a stable scripting contract: 0 success, 1 verification
-failure, 2 usage or input error.
+failure, 2 usage or input error.  A reader that closes stdout early (as
+``| head`` does) changes neither: the rest of the output is dropped.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -58,6 +60,20 @@ def _make_spec(
     )
 
 
+def _print(text: str, end: str = "\n") -> None:
+    """Write one command's output to stdout and flush it.
+
+    If the reader has closed the pipe, stdout is pointed at the null device,
+    so that neither this write nor the interpreter's flush at exit fails.
+    """
+    try:
+        print(text, end=end, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _cmd_gen(args) -> int:
     try:
         spec = _make_spec(
@@ -81,7 +97,7 @@ def _cmd_gen(args) -> int:
     except OSError as exc:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return 2
-    print(
+    _print(
         f"{circuit.name}: {len(circuit.gates)} gates, "
         f"unit-delay depth {depth(circuit)}, wrote {out}"
     )
@@ -143,9 +159,9 @@ def _cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        print(report.to_json(), end="")
+        _print(report.to_json(), end="")
     else:
-        print(report.to_text())
+        _print(report.to_text())
     return 0 if report.passed else 1
 
 
@@ -171,9 +187,9 @@ def _cmd_compare(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "csv":
-        print(table.to_csv(), end="")
+        _print(table.to_csv(), end="")
     else:
-        print(table.to_markdown(), end="")
+        _print(table.to_markdown(), end="")
     return 0
 
 

@@ -7,11 +7,18 @@ otherwise it multiplies exact Python ints.  It never touches generator or
 simulator word paths, so a bug in the netlist machinery cannot hide itself.
 numpy is imported inside the functions that use it, not at module top, so
 importing gatemul (as ``gen`` and ``compare`` do) does not load it.
+
+A report's ``failures`` is a read-only sequence of ``(inputs, expected,
+actual)`` rows.  The failing vectors stay in numpy arrays, and a row's tuple
+of Python ints is built only when the row is read: a FAIL report that prints
+20 witnesses builds 20 tuples, however many vectors failed.
 """
 
 from __future__ import annotations
 
 import json
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -26,13 +33,88 @@ if TYPE_CHECKING:
 RANDOM_ALGORITHM = "numpy-pcg64"
 
 
+# One failing vector: its operands by port name, the product, the netlist's output.
+_Failure = tuple[dict[str, int], int, int]
+
+# Rows built per step when a failure sequence is iterated.
+_ROW_BLOCK = 4096
+
+
+class _Failures(Sequence):
+    """The failing vectors of one run, held as four equal-length arrays.
+
+    A row reads as ``({name_a: a, name_b: b}, expected, actual)`` with Python
+    ints, the tuple a list of failures would hold; it is built when indexed,
+    sliced (a slice is a list) or iterated.  Equality is element-wise with
+    any sequence, as for a list.
+    """
+
+    __slots__ = ("_names", "_a", "_b", "_expected", "_actual")
+
+    def __init__(self, names: tuple[str, str], a, b, expected, actual):
+        self._names = names
+        self._a, self._b, self._expected, self._actual = a, b, expected, actual
+
+    def __len__(self) -> int:
+        return len(self._a)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._rows(index)
+        i = range(len(self._a))[index]  # int index rules, IndexError included
+        return self._rows(slice(i, i + 1))[0]
+
+    def __iter__(self):
+        for start in range(0, len(self._a), _ROW_BLOCK):
+            yield from self._rows(slice(start, start + _ROW_BLOCK))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def _rows(self, index: slice) -> list[_Failure]:
+        name_a, name_b = self._names
+        return [
+            ({name_a: a, name_b: b}, e, g)
+            for a, b, e, g in zip(
+                self._a[index].tolist(),
+                self._b[index].tolist(),
+                self._expected[index].tolist(),
+                self._actual[index].tolist(),
+            )
+        ]
+
+
+_REPORT_JSON = (
+    '{\n  "mode": %s,\n  "passed": %s,\n  "total_vectors": %s,\n'
+    '  "boundary_vectors": %s,\n  "requested_count": %s,\n  "seed": %s,\n'
+    '  "algorithm": %s,\n  "failures": %s\n}\n'
+)
+
+
+def _failure_json(keys: tuple[str, ...]) -> str:
+    """%-template of one failure whose ``inputs`` has these keys, in order;
+    it takes their values, then expected and actual."""
+    quote = json.encoder.encode_basestring_ascii
+    fields = ",\n".join(f"        {quote(k).replace('%', '%%')}: %d" for k in keys)
+    inputs = f"{{\n{fields}\n      }}" if keys else "{}"
+    return (
+        f'    {{\n      "inputs": {inputs},\n'
+        '      "expected": %d,\n      "actual": %d\n    }'
+    )
+
+
 @dataclass
 class VerifyReport:
     """Outcome of one verification run; passing means no failures."""
 
     mode: str  # "exhaustive" | "random"
     total_vectors: int
-    failures: list[tuple[dict[str, int], int, int]] = field(default_factory=list)
+    failures: Sequence[_Failure] = field(default_factory=list)
     boundary_vectors: int = 0
     requested_count: int | None = None
     seed: int | None = None
@@ -40,7 +122,7 @@ class VerifyReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return len(self.failures) == 0
 
     def to_text(self, max_witnesses: int = 20) -> str:
         lines = [f"mode: {self.mode}"]
@@ -67,20 +149,24 @@ class VerifyReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        doc = {
-            "mode": self.mode,
-            "passed": self.passed,
-            "total_vectors": self.total_vectors,
-            "boundary_vectors": self.boundary_vectors,
-            "requested_count": self.requested_count,
-            "seed": self.seed,
-            "algorithm": self.algorithm,
-            "failures": [
-                {"inputs": inputs, "expected": expected, "actual": actual}
-                for inputs, expected, actual in self.failures
-            ],
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        """The report laid out exactly as ``json.dumps(doc, indent=2)`` plus a
+        final LF, written directly: CPython serializes any indented dump in
+        its pure-Python encoder, which is several times slower."""
+        templates: dict[tuple[str, ...], str] = {}
+        failures = []
+        for inputs, expected, actual in self.failures:
+            keys = tuple(inputs)
+            template = templates.get(keys)
+            if template is None:
+                template = templates[keys] = _failure_json(keys)
+            failures.append(template % (*inputs.values(), expected, actual))
+        return _REPORT_JSON % (
+            *map(json.dumps, (
+                self.mode, self.passed, self.total_vectors, self.boundary_vectors,
+                self.requested_count, self.seed, self.algorithm,
+            )),
+            "[\n" + ",\n".join(failures) + "\n  ]" if failures else "[]",
+        )
 
 
 def oracle_product(a: int, b: int, spec: MultiplierSpec) -> int:
@@ -137,15 +223,9 @@ def _run(circuit: Circuit, spec: MultiplierSpec, a_vals, b_vals, sort_failures: 
     if sort_failures:
         # Stable, so equal (a, b) pairs keep vector order.
         bad = bad[np.lexsort((b_vals[bad], a_vals[bad]))]
-    return [
-        ({pa.name: a, pb.name: b}, e, g)
-        for a, b, e, g in zip(
-            a_vals[bad].tolist(),
-            b_vals[bad].tolist(),
-            expected[bad].tolist(),
-            actual[bad].tolist(),
-        )
-    ]
+    return _Failures(
+        (pa.name, pb.name), a_vals[bad], b_vals[bad], expected[bad], actual[bad]
+    )
 
 
 def verify_exhaustive(

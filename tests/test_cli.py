@@ -245,6 +245,36 @@ class TestVerify:
         assert "verify_random" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_keeps_exit_code_and_stderr_quiet(tmp_path, unbuffered):
+    # As `gatemul verify ... | head` when head exits first: no traceback, no
+    # "Exception ignored" line, and the command's own exit code.
+    c = baugh_wooley_multiplier(4)
+    good = tmp_path / "bw4.json"
+    good.write_text(to_json(c))
+    bad = tmp_path / "mutant.json"
+    bad.write_text(to_json(flip_gate(c, partial_product_gates(c)[0])))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    cases = [
+        (["verify", str(good)], 0),
+        (["verify", str(bad), "--random", "20000"], 1),
+        (["verify", str(bad), "--random", "20000", "--format", "json"], 1),
+        (["gen", "--arch", "bw", "--width", "4", "--out", str(tmp_path / "g.v")], 0),
+    ]
+    for args, code in cases:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gatemul.cli", *args],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()  # the reader is gone before anything is written
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (code, b""), args
+
+
 class TestCompare:
     def test_three_way_table(self, capsys):
         code = run(["compare", "--width", "8", "--model", "unit",

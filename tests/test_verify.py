@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -15,7 +16,9 @@ from gatemul.multipliers import (
 from gatemul.netlist import Circuit, Gate, GateKind, Signedness
 from gatemul.sim import evaluate, value_range
 from gatemul.verify import (
+    VerifyReport,
     _draw,
+    _Failures,
     boundary_values,
     oracle_product,
     verify_exhaustive,
@@ -325,3 +328,138 @@ class TestReportRendering:
         assert doc["seed"] == 5
         assert doc["algorithm"] == "numpy-pcg64"
         assert doc["total_vectors"] == report.total_vectors
+
+
+def first_and_to_or(circuit: Circuit) -> Circuit:
+    """The circuit with its first AND2 turned into an OR2 (the benchmark's mutant)."""
+    gi = next(i for i, g in enumerate(circuit.gates) if g.kind is GateKind.AND2)
+    gates = list(circuit.gates)
+    gates[gi] = dataclasses.replace(gates[gi], kind=GateKind.OR2)
+    return dataclasses.replace(circuit, gates=tuple(gates))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# The bw and decomposed:4 mutants break the same partial product, so their
+# reports agree.
+_BW_RANDOM = (
+    "fc51c9e00a615df4a0e6896fcdd0cd43a2ec499827709e3ed9ad950db71baccc",
+    "6d55fdda1292dcf7d0ad24549a1e57f5d18f68b2731e3393db4c827db811180d",
+)
+_BW_EXHAUSTIVE = (
+    "dc65b3a19cde3ca2d645dd0fd4992fb3cef0749806f30434feb213bc87a2561c",
+    "f5bbe5c3a09163ff87533f6b5c4c0d593b15141adee7af033a016ccbd2a3e37b",
+)
+MUTANT_REPORTS = [
+    # (architecture, leaf, random 16-bit failures, (text, json) digests of
+    #  the 16-bit random report, (text, json) digests of the 8-bit
+    #  exhaustive report)
+    (Architecture.FLAT_BW, None, 10113, _BW_RANDOM, _BW_EXHAUSTIVE),
+    (Architecture.BOOTH_RADIX4, None, 10049, (
+        "49ad5d5e19386bd7d5aa43e91fa1d1e88ec453c1b7785263d43dd9f86e587ee8",
+        "7165bc3ef65f429b1c2b34b514f3467543a80fe9c4da25fe25c165836b3c4649",
+    ), (
+        "6b5d96c1522e637f2611fdab98e853b05dffd1b5ed37ade1efa776281f4f7051",
+        "84bb1fa554abeab088accbea87dc514d4d2763e2376a412a03c1fae300f2d49c",
+    )),
+    (Architecture.DECOMPOSED, 4, 10113, _BW_RANDOM, _BW_EXHAUSTIVE),
+]
+
+
+class TestPinnedReportBytes:
+    """Text and JSON reports of one-gate mutants, byte for byte."""
+
+    @pytest.mark.parametrize("arch, leaf, nfail, digests, _", MUTANT_REPORTS)
+    def test_random_16_bit(self, arch, leaf, nfail, digests, _):
+        spec = MultiplierSpec(16, 16, S, S, arch, leaf_width=leaf)
+        report = verify_random(first_and_to_or(generate(spec)), spec, count=20000, seed=8)
+        assert len(report.failures) == nfail
+        assert (_sha256(report.to_text()), _sha256(report.to_json())) == digests
+
+    @pytest.mark.parametrize("arch, leaf, _, __, digests", MUTANT_REPORTS)
+    def test_exhaustive_8_bit(self, arch, leaf, _, __, digests):
+        spec = MultiplierSpec(8, 8, S, S, arch, leaf_width=leaf)
+        report = verify_exhaustive(first_and_to_or(generate(spec)), spec)
+        assert (_sha256(report.to_text()), _sha256(report.to_json())) == digests
+
+
+class TestFailureSequence:
+    def test_indexing_slicing_and_iteration_agree(self):
+        spec = MultiplierSpec(16, 16, S, S, Architecture.FLAT_BW)
+        report = verify_random(first_and_to_or(generate(spec)), spec, count=20000, seed=2)
+        rows = list(report.failures)  # iterated in several blocks of rows
+        assert len(rows) == len(report.failures) > 5000
+        assert report.failures[0] == rows[0]
+        assert report.failures[-1] == rows[-1]
+        assert report.failures[:5] == rows[:5]
+        assert report.failures[4090:4100] == rows[4090:4100]
+        assert report.failures == rows
+        inputs, expected, actual = rows[0]
+        assert list(inputs) == ["A", "B"]
+        assert all(type(v) is int for v in (*inputs.values(), expected, actual))
+
+    def test_passing_report_has_no_failures(self):
+        report = verify_exhaustive(baugh_wooley_multiplier(4), BW4_SPEC)
+        assert report.failures == []
+        assert len(report.failures) == 0
+
+    def test_text_report_builds_only_the_witness_rows(self, monkeypatch):
+        spec = MultiplierSpec(16, 16, S, S, Architecture.FLAT_BW)
+        report = verify_random(first_and_to_or(generate(spec)), spec, count=120000, seed=3)
+        assert len(report.failures) > 50000
+        built = []
+        rows = _Failures._rows
+
+        def counting_rows(self, index):
+            out = rows(self, index)
+            built.append(len(out))
+            return out
+
+        monkeypatch.setattr(_Failures, "_rows", counting_rows)
+        text = report.to_text(max_witnesses=20)
+        assert text.endswith(f"... and {len(report.failures) - 20} more")
+        assert 0 < sum(built) <= 20
+
+
+def _indented_dump(text: str) -> str:
+    return json.dumps(json.loads(text), indent=2) + "\n"
+
+
+class TestJsonReport:
+    """to_json writes what ``json.dumps(doc, indent=2)`` would."""
+
+    def test_passing_and_failing_reports(self):
+        c = baugh_wooley_multiplier(4)
+        mutant = flip_gate(c, partial_product_gates(c)[0])
+        for report in (
+            verify_exhaustive(c, BW4_SPEC),
+            verify_exhaustive(mutant, BW4_SPEC),
+            verify_random(c, BW4_SPEC, count=10, seed=5),
+            verify_random(mutant, BW4_SPEC, count=100, seed=5),
+        ):
+            text = report.to_json()
+            assert text == _indented_dump(text)
+            assert json.loads(text)["passed"] is report.passed
+            assert len(json.loads(text)["failures"]) == len(report.failures)
+
+    def test_hand_built_reports(self):
+        reports = [
+            VerifyReport(mode="exhaustive", total_vectors=0),
+            VerifyReport(
+                mode="random", total_vectors=3, boundary_vectors=1,
+                requested_count=2, seed=0, algorithm="numpy-pcg64",
+                failures=[
+                    ({"A": -(1 << 70), "B": 3}, -(3 << 70), 0),
+                    ({}, 1, 2),
+                    ({"x%d": 1, 'q"\u00e9': -2, "z": 0}, -2, 5),
+                ],
+            ),
+        ]
+        for report in reports:
+            text = report.to_json()
+            assert text == _indented_dump(text)
+        doc = json.loads(reports[1].to_json())
+        assert doc["failures"][2]["inputs"] == {"x%d": 1, 'q"\u00e9': -2, "z": 0}
+        assert doc["failures"][0]["expected"] == -(3 << 70)
