@@ -245,7 +245,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit:
+        # argparse has printed --help (or a usage error) and exits here.
+        _print("", end="")
+        raise
     return args.func(args)
 
 

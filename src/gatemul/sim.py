@@ -4,7 +4,7 @@ Bit 0 is always the LSB; a signed port of width n gives its top bit weight
 -2**(n-1).  The simulator walks gates in dependency order holding one value
 per net, so the netlist itself (not any word-level shortcut) produces the
 result.  Batch evaluation packs many vectors into the bits of one Python
-integer per net and runs the same gate loop once per chunk; outputs are
+integer per net and runs the same gate table once per chunk; outputs are
 bit-identical to scalar evaluation.  Port values travel as int64 arrays when
 the port's range fits in int64 and as object arrays of exact Python ints
 otherwise, so the array path is exact at every width.  numpy is imported
@@ -70,47 +70,37 @@ def decode(bits: Sequence[int], signedness: Signedness) -> int:
     return u
 
 
+# Gate semantics over lane integers.  ``m`` is the all-ones mask for the
+# active lanes; with m == 1 these are plain single-bit ops.
+_GATE_OPS = {
+    GateKind.CONST0: lambda ins, m: 0,
+    GateKind.CONST1: lambda ins, m: m,
+    GateKind.NOT: lambda ins, m: ins[0] ^ m,
+    GateKind.BUF: lambda ins, m: ins[0],
+    GateKind.AND2: lambda ins, m: ins[0] & ins[1],
+    GateKind.NAND2: lambda ins, m: (ins[0] & ins[1]) ^ m,
+    GateKind.OR2: lambda ins, m: ins[0] | ins[1],
+    GateKind.NOR2: lambda ins, m: (ins[0] | ins[1]) ^ m,
+    GateKind.XOR2: lambda ins, m: ins[0] ^ ins[1],
+    GateKind.XNOR2: lambda ins, m: (ins[0] ^ ins[1]) ^ m,
+}
+
+
 def _evaluate_lanes(
     circuit: Circuit,
     in_lanes: Mapping[str, Sequence[int]],
     mask: int,
     schedule: Sequence[int],
 ) -> dict[str, list[int]]:
-    """Gate semantics over lane integers.  ``mask`` is the all-ones value of
-    the active lanes; with mask == 1 these are plain single-bit ops."""
     values: list[int] = [0] * circuit.net_count
     for port in circuit.inputs:
         lanes = in_lanes[port.name]
         for net, lane in zip(port.bits, lanes):
             values[net] = lane
     gates = circuit.gates
-    AND2, XOR2, OR2 = GateKind.AND2, GateKind.XOR2, GateKind.OR2
-    # Kinds are tested most common first (AND2, XOR2 and OR2 make up over
-    # 98% of every generated multiplier).
     for gi in schedule:
         g = gates[gi]
-        kind, ins = g.kind, g.inputs
-        if kind is AND2:
-            v = values[ins[0]] & values[ins[1]]
-        elif kind is XOR2:
-            v = values[ins[0]] ^ values[ins[1]]
-        elif kind is OR2:
-            v = values[ins[0]] | values[ins[1]]
-        elif kind is GateKind.NAND2:
-            v = (values[ins[0]] & values[ins[1]]) ^ mask
-        elif kind is GateKind.XNOR2:
-            v = values[ins[0]] ^ values[ins[1]] ^ mask
-        elif kind is GateKind.NOT:
-            v = values[ins[0]] ^ mask
-        elif kind is GateKind.NOR2:
-            v = (values[ins[0]] | values[ins[1]]) ^ mask
-        elif kind is GateKind.BUF:
-            v = values[ins[0]]
-        elif kind is GateKind.CONST1:
-            v = mask
-        else:  # CONST0
-            v = 0
-        values[g.output] = v
+        values[g.output] = _GATE_OPS[g.kind]([values[i] for i in g.inputs], mask)
     return {p.name: [values[net] for net in p.bits] for p in circuit.outputs}
 
 

@@ -89,25 +89,6 @@ class _Failures(Sequence):
         ]
 
 
-_REPORT_JSON = (
-    '{\n  "mode": %s,\n  "passed": %s,\n  "total_vectors": %s,\n'
-    '  "boundary_vectors": %s,\n  "requested_count": %s,\n  "seed": %s,\n'
-    '  "algorithm": %s,\n  "failures": %s\n}\n'
-)
-
-
-def _failure_json(keys: tuple[str, ...]) -> str:
-    """%-template of one failure whose ``inputs`` has these keys, in order;
-    it takes their values, then expected and actual."""
-    quote = json.encoder.encode_basestring_ascii
-    fields = ",\n".join(f"        {quote(k).replace('%', '%%')}: %d" for k in keys)
-    inputs = f"{{\n{fields}\n      }}" if keys else "{}"
-    return (
-        f'    {{\n      "inputs": {inputs},\n'
-        '      "expected": %d,\n      "actual": %d\n    }'
-    )
-
-
 @dataclass
 class VerifyReport:
     """Outcome of one verification run; passing means no failures."""
@@ -149,24 +130,20 @@ class VerifyReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        """The report laid out exactly as ``json.dumps(doc, indent=2)`` plus a
-        final LF, written directly: CPython serializes any indented dump in
-        its pure-Python encoder, which is several times slower."""
-        templates: dict[tuple[str, ...], str] = {}
-        failures = []
-        for inputs, expected, actual in self.failures:
-            keys = tuple(inputs)
-            template = templates.get(keys)
-            if template is None:
-                template = templates[keys] = _failure_json(keys)
-            failures.append(template % (*inputs.values(), expected, actual))
-        return _REPORT_JSON % (
-            *map(json.dumps, (
-                self.mode, self.passed, self.total_vectors, self.boundary_vectors,
-                self.requested_count, self.seed, self.algorithm,
-            )),
-            "[\n" + ",\n".join(failures) + "\n  ]" if failures else "[]",
-        )
+        doc = {
+            "mode": self.mode,
+            "passed": self.passed,
+            "total_vectors": self.total_vectors,
+            "boundary_vectors": self.boundary_vectors,
+            "requested_count": self.requested_count,
+            "seed": self.seed,
+            "algorithm": self.algorithm,
+            "failures": [
+                {"inputs": inputs, "expected": expected, "actual": actual}
+                for inputs, expected, actual in self.failures
+            ],
+        }
+        return json.dumps(doc, indent=2) + "\n"
 
 
 def oracle_product(a: int, b: int, spec: MultiplierSpec) -> int:

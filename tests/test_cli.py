@@ -263,6 +263,8 @@ def test_closed_stdout_keeps_exit_code_and_stderr_quiet(tmp_path, unbuffered):
         (["verify", str(bad), "--random", "20000"], 1),
         (["verify", str(bad), "--random", "20000", "--format", "json"], 1),
         (["gen", "--arch", "bw", "--width", "4", "--out", str(tmp_path / "g.v")], 0),
+        (["--help"], 0),
+        (["verify", "-h"], 0),
     ]
     for args, code in cases:
         proc = subprocess.Popen(
