@@ -18,6 +18,7 @@ from .multipliers import (
     Architecture,
     Combiner,
     MultiplierSpec,
+    _product_sign,
     generate,
 )
 from .netlist import Circuit, Signedness, _with_signedness
@@ -104,16 +105,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _retag_signs(circuit: Circuit, sign_a: Signedness, sign_b: Signedness) -> Circuit:
-    """Reinterpret the operand ports under the requested signedness."""
-    out_sign = (
-        Signedness.SIGNED
-        if Signedness.SIGNED in (sign_a, sign_b)
-        else Signedness.UNSIGNED
-    )
-    return _with_signedness(circuit, (sign_a, sign_b), (out_sign,))
-
-
 def _load_circuit(path: str) -> Circuit:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -146,10 +137,10 @@ def _cmd_verify(args) -> int:
     sign_a = _SIGN_TOKENS[args.sign_a] if args.sign_a else pa.signedness
     sign_b = _SIGN_TOKENS[args.sign_b] if args.sign_b else pb.signedness
     if (sign_a, sign_b) != (pa.signedness, pb.signedness):
-        circuit = _retag_signs(circuit, sign_a, sign_b)
+        circuit = _with_signedness(
+            circuit, (sign_a, sign_b), (_product_sign(sign_a, sign_b),)
+        )
     try:
-        if pa.width != pb.width:
-            raise ValueError("width_a must equal width_b")
         spec = _Operands(pa.width, pb.width, sign_a, sign_b)
         if args.random is not None:
             report = verify_random(circuit, spec, count=args.random, seed=args.seed)

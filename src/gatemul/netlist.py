@@ -11,7 +11,9 @@ threads and key per-net tables by the dense net index.  Validation, the
 gate schedule and the depth in levels come from one structural analysis
 that is computed once per ``Circuit`` object and cached on it (it is not a
 field, so equality, hashing and ``repr`` ignore it).  A concurrent first
-access may compute it twice, with the same result.
+access may compute it twice, with the same result.  The depth and static
+timing share one longest-path pass, :func:`_arrivals`, with different
+costs per gate kind.
 """
 
 from __future__ import annotations
@@ -170,8 +172,8 @@ def _analyse(circuit: Circuit) -> _Analysis:
         flag(ViolationKind.UNDRIVEN_NET, f"net {net} is referenced but never driven", net=net)
 
     schedule: Sequence[int] = range(len(gates))
-    depth = None if out else _depth(circuit, schedule)
-    if depth is None:
+    arrival = None if out else _arrivals(circuit, schedule, _LEVELS)
+    if arrival is None:
         # Not in order (or not well formed): Kahn's sort over the gate graph.
         driver_gate = {g.output: gi for gi, g in enumerate(gates)
                        if 0 <= g.output < nc and drivers[g.output] == 1}
@@ -197,30 +199,39 @@ def _analyse(circuit: Circuit) -> _Analysis:
             flag(ViolationKind.CYCLE, f"gates {stuck} form a combinational loop",
                  gate_index=stuck[0] if stuck else None)
         if not out:
-            depth = _depth(circuit, schedule)
-    return _Analysis(tuple(out), schedule, depth or 0)
+            arrival = _arrivals(circuit, schedule, _LEVELS)
+    levels = [arrival[net] for p in circuit.outputs for net in p.bits] if arrival else []
+    return _Analysis(tuple(out), schedule, max(levels, default=0))
 
 
-def _depth(circuit: Circuit, schedule: Sequence[int]) -> int | None:
-    """Depth in gate levels of a well-formed circuit walked in ``schedule``
-    order, or None if some gate comes before a gate it reads from."""
-    level = [-1] * circuit.net_count
+# Gate levels as a cost per kind: only CONST gates have no inputs, and they
+# cost no level.
+_LEVELS = {kind: min(kind.arity, 1) for kind in GateKind}
+
+
+def _arrivals(
+    circuit: Circuit, schedule: Sequence[int], cost: dict[GateKind, int]
+) -> list[int] | None:
+    """Longest-path arrival of every net of a well-formed circuit walked in
+    ``schedule`` order: input bits at 0, each gate's output at the latest of
+    its inputs plus ``cost[kind]`` (>= 0), and -1 for a net nothing drives.
+    None if some gate comes before a gate it reads from."""
+    arrival = [-1] * circuit.net_count
     for p in circuit.inputs:
         for net in p.bits:
-            level[net] = 0
+            arrival[net] = 0
     gates = circuit.gates
     for gi in schedule:
         g = gates[gi]
         top = 0
         for net in g.inputs:
-            lv = level[net]
-            if lv > top:
-                top = lv
-            elif lv < 0:
+            t = arrival[net]
+            if t > top:
+                top = t
+            elif t < 0:
                 return None
-        # Only CONST gates have no inputs, and they cost no level.
-        level[g.output] = top + 1 if g.inputs else 0
-    return max((level[net] for p in circuit.outputs for net in p.bits), default=0)
+        arrival[g.output] = top + cost[g.kind]
+    return arrival
 
 
 def validate(circuit: Circuit) -> list[Violation]:

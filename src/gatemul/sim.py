@@ -310,11 +310,18 @@ def _unpack_port(
             values <<= 64 - width
             values >>= 64 - width
         return values
+    acc = _ints_from_limbs(limbs)
+    if signed:
+        acc -= ((acc >> (width - 1)) & 1) << width
+    return acc
+
+
+def _ints_from_limbs(limbs: np.ndarray) -> np.ndarray:
+    """Exact Python ints (an object array) from rows of uint64 limbs, least
+    significant limb first."""
     acc = limbs[:, -1].astype(object)
     for k in range(limbs.shape[1] - 2, -1, -1):
         acc = (acc << 64) | limbs[:, k].astype(object)
-    if signed:
-        acc -= ((acc >> (width - 1)) & 1) << width
     return acc
 
 
@@ -365,7 +372,7 @@ def evaluate_vector_array(
             )
         dtype = port_dtype(port.width, port.signedness)
         exact = arr.astype(dtype, copy=False)
-        # Casting to int64 truncates a float; a wide port's packing raises on one.
+        # Casting to int64 truncates a float; a wide port's packing refuses one.
         if arr.dtype == object and dtype is np.int64 and (exact != arr).any():
             raise ValueError(f"values for {port.name!r} must be integers")
         arrays[port.name] = exact
@@ -373,10 +380,12 @@ def evaluate_vector_array(
     out = {p.name: np.empty(n, port_dtype(p.width, p.signedness)) for p in circuit.outputs}
     for start in range(0, n, chunk_size):
         stop = min(start + chunk_size, n)
-        lanes = [
-            lane for p in circuit.inputs
-            for lane in _pack_port(arrays[p.name][start:stop], p.width)
-        ]
+        lanes = []
+        for p in circuit.inputs:
+            try:
+                lanes += _pack_port(arrays[p.name][start:stop], p.width)
+            except TypeError:  # a wide port's object array holding a non-integer
+                raise ValueError(f"values for {p.name!r} must be integers") from None
         bits = _evaluate_lanes(program, lanes, (1 << (stop - start)) - 1)
         at = 0
         for p in circuit.outputs:

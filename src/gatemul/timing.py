@@ -5,9 +5,11 @@ and cross-model comparisons behave algebraically: scaling every gate delay
 by k scales the critical delay by exactly k and leaves the witness path
 unchanged.  STA runs as one pass over integers: each model scales its
 delays by their common denominator, and results are converted back, so
-they are still exact rationals.  Timing is purely topological -- no
-input-dependent or false-path analysis -- which is what a synthesis
-report's "path delay" measures.
+they are still exact rationals.  That pass is the netlist's longest-path
+pass, which also gives the depth in gate levels with a cost of one level
+per non-constant gate.  Timing is purely topological -- no input-dependent
+or false-path analysis -- which is what a synthesis report's "path delay"
+measures.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import lcm
 from typing import Mapping, Sequence
 import csv
 
-from .netlist import Circuit, Gate, GateKind, NetId, _require_valid
+from .netlist import Circuit, Gate, GateKind, NetId, _arrivals, _require_valid
 
 DelayLike = int | float | str | Fraction
 
@@ -106,32 +108,15 @@ class DelayModel:
         return models[name]()
 
 
-def _arrival_ticks(circuit: Circuit, model: DelayModel) -> list[int]:
-    """Arrival time of every net in units of 1/``model._scale``: inputs at
-    0, each gate output at max(input arrivals) + its kind's delay.  One
-    integer pass over the circuit's schedule."""
+def arrival_times(circuit: Circuit, model: DelayModel) -> dict[NetId, Fraction]:
+    """Arrival time of every driven net: inputs at 0, each gate output at
+    max(input arrivals) + its kind's delay.  One topological pass."""
     schedule = _require_valid(circuit).schedule
-    ticks = model._ticks
-    gates = circuit.gates
-    arrival = [0] * circuit.net_count
-    for gi in schedule:
-        g = gates[gi]
-        arrival[g.output] = max([arrival[i] for i in g.inputs], default=0) + ticks[g.kind]
-    return arrival
-
-
-def _exact(circuit: Circuit, model: DelayModel, arrival: list[int]) -> dict[NetId, Fraction]:
-    """Integer arrivals as exact delays, keyed by every driven net."""
+    arrival = _arrivals(circuit, schedule, model._ticks)
     exact = {t: Fraction(t, model._scale) for t in set(arrival)}
     nets = [net for p in circuit.inputs for net in p.bits]
-    nets += [circuit.gates[gi].output for gi in circuit._analysis.schedule]
+    nets += [circuit.gates[gi].output for gi in schedule]
     return {net: exact[arrival[net]] for net in nets}
-
-
-def arrival_times(circuit: Circuit, model: DelayModel) -> dict[NetId, Fraction]:
-    """Arrival time of every net: inputs at 0, each gate output at
-    max(input arrivals) + its kind's delay.  One topological pass."""
-    return _exact(circuit, model, _arrival_ticks(circuit, model))
 
 
 @dataclass(frozen=True)
@@ -148,22 +133,25 @@ def critical_path(circuit: Circuit, model: DelayModel) -> TimingReport:
     maximum-arrival predecessors backwards; ties break toward the lowest
     net id, so the path is reproducible.
     """
-    ticks = _arrival_ticks(circuit, model)
-    out_nets = sorted({net for p in circuit.outputs for net in p.bits})
-    best = max(ticks[n] for n in out_nets)
-    end = min(n for n in out_nets if ticks[n] == best)
+    schedule = _require_valid(circuit).schedule
+    ticks = _arrivals(circuit, schedule, model._ticks)
+    best = max(ticks[net] for p in circuit.outputs for net in p.bits)
+    end = min(net for p in circuit.outputs for net in p.bits if ticks[net] == best)
 
-    driver: dict[NetId, Gate] = {g.output: g for g in circuit.gates}
+    # A net's driver comes before every gate that reads it, so walking the
+    # schedule backwards meets each driver on the path in turn.
+    gates = circuit.gates
     path: list[Gate] = []
     net = end
-    while net in driver:
-        g = driver[net]
+    for gi in reversed(schedule):
+        g = gates[gi]
+        if g.output != net:
+            continue
         path.append(g)
         if not g.inputs:
             break
-        candidates = sorted(g.inputs)
-        peak = max(ticks[i] for i in candidates)
-        net = next(i for i in candidates if ticks[i] == peak)
+        peak = max(ticks[i] for i in g.inputs)
+        net = min(i for i in g.inputs if ticks[i] == peak)
     path.reverse()
     return TimingReport(model.name, Fraction(best, model._scale), tuple(path))
 

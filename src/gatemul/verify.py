@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from .multipliers import MultiplierSpec
 from .netlist import Circuit
-from .sim import evaluate_vector_array, fits_int64, port_dtype, value_range
+from .sim import _ints_from_limbs, evaluate_vector_array, fits_int64, port_dtype, value_range
 
 if TYPE_CHECKING:
     import numpy as np
@@ -264,9 +264,7 @@ def _draw(rng: np.random.Generator, width: int, signedness, count: int) -> np.nd
             dtype=np.uint64, endpoint=True,
         )
         words[:, -1] &= top_mask
-        cand = words[:, -1].astype(object)
-        for k in range(nlimbs - 2, -1, -1):
-            cand = (cand << 64) | words[:, k].astype(object)
+        cand = _ints_from_limbs(words)
         vals = np.concatenate([vals, cand[cand <= span]])
     return vals + lo
 

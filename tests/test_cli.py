@@ -10,6 +10,7 @@ import pytest
 from gatemul.cli import main
 from gatemul.emit import from_json, to_json
 from gatemul.multipliers import baugh_wooley_multiplier
+from gatemul.netlist import CircuitBuilder, GateKind, Signedness
 from gatemul.sim import evaluate
 
 from test_emit import D16_SHA256
@@ -235,6 +236,29 @@ class TestVerify:
         # A 1-bit AND is also the signed x signed product: (-a)(-b) == ab.
         assert run(["verify", str(path), "--sign-a", "signed", "--sign-b", "signed"]) == 0
         assert "PASS (4 vectors, 0 failures)" in capsys.readouterr().out
+
+    def test_unequal_operand_widths(self, tmp_path, capsys):
+        # A hand-built 2x1 unsigned multiplier: P = (a0&b0, a1&b0, 0).
+        b = CircuitBuilder("m2x1")
+        a0, a1 = b.add_input("A", 2, Signedness.UNSIGNED)
+        (b0,) = b.add_input("B", 1, Signedness.UNSIGNED)
+        p0 = b.add_gate(GateKind.AND2, [a0, b0])
+        p1 = b.add_gate(GateKind.AND2, [a1, b0])
+        b.add_output("P", [p0, p1, b.const0()], Signedness.UNSIGNED)
+        c = b.finalize()
+        good, bad = tmp_path / "m2x1.json", tmp_path / "m2x1_mutant.json"
+        good.write_text(to_json(c))
+        bad.write_text(to_json(flip_gate(c, 0)))
+        assert run(["verify", str(good), "--exhaustive"]) == 0
+        assert "PASS (8 vectors, 0 failures)" in capsys.readouterr().out
+        assert run(["verify", str(good), "--random", "100"]) == 0
+        assert "PASS (106 vectors, 0 failures)" in capsys.readouterr().out
+        for mode in (["--exhaustive"], ["--random", "100"]):
+            assert run(["verify", str(bad), *mode]) == 1
+            assert "FAIL" in capsys.readouterr().out
+        # Read as signed, the 2-bit operand's MSB weighs -2: -2 * 1 is no 2.
+        assert run(["verify", str(good), "--sign-a", "signed"]) == 1
+        assert capsys.readouterr().err == ""
 
     def test_exhaustive_width_cap_exits_2(self, tmp_path, capsys):
         out = tmp_path / "d16.json"

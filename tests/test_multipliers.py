@@ -266,6 +266,16 @@ def _digest_specs():
                                 pass
 
 
+def _digest_key(spec):
+    """Digest table key: "<architecture> <width> <sign_a><sign_b> <combiner>
+    <leaf_width>"."""
+    return (
+        f"{spec.architecture.value} {spec.width_a} "
+        f"{spec.sign_a.value[0]}{spec.sign_b.value[0]} "
+        f"{spec.combiner.value} {spec.leaf_width}"
+    )
+
+
 def test_generator_bytes_are_pinned():
     """SHA-256 of ``to_json`` and ``to_verilog`` for every spec of
     :func:`_digest_specs`; any change to a generator's gate order, naming
@@ -273,12 +283,7 @@ def test_generator_bytes_are_pinned():
     actual = {}
     for spec in _digest_specs():
         c = generate(spec)
-        key = (
-            f"{spec.architecture.value} {spec.width_a} "
-            f"{spec.sign_a.value[0]}{spec.sign_b.value[0]} "
-            f"{spec.combiner.value} {spec.leaf_width}"
-        )
-        actual[key] = (
+        actual[_digest_key(spec)] = (
             hashlib.sha256(to_json(c).encode()).hexdigest(),
             hashlib.sha256(to_verilog(c).encode()).hexdigest(),
         )

@@ -264,6 +264,17 @@ class TestNonIntegerInput:
         with pytest.raises(ValueError, match="'B' must be integers"):
             evaluate_vector_array(c, {"A": [1, 2], "B": np.array([1.0, 2.0])})
 
+    def test_non_integer_rejected_on_a_wide_port(self):
+        # Ports past int64 are object arrays, whose packing refuses a float.
+        c = unsigned_array_multiplier(64)
+        with pytest.raises(ValueError, match="'A' must be integers"):
+            evaluate_vector_array(c, {"A": [1.5, 2], "B": [1, 2]})
+        b = CircuitBuilder("wide")
+        bits = b.add_input("W", 70, U)
+        b.add_output("Y", bits, U)
+        with pytest.raises(ValueError, match="'W' must be integers"):
+            evaluate_vector_array(b.finalize(), {"W": [2, 1.5]})
+
     def test_integers_of_every_kind_accepted(self):
         c = baugh_wooley_multiplier(4)
         expect = [-8, 0, 7]
