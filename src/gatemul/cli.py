@@ -116,7 +116,7 @@ def _load_circuit(path: str) -> Circuit:
 class _Operands(NamedTuple):
     """What ``verify_random``/``verify_exhaustive`` read of their spec: the
     operand widths and signs.  A netlist read from a file is not bound by
-    the generators' rules, so a 1-bit signed operand is verified too."""
+    the generators' rules, so operands of unequal widths are verified too."""
 
     width_a: int
     width_b: int

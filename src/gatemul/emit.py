@@ -188,8 +188,8 @@ def _load_port(doc, where: str) -> Port:
     _expect(isinstance(bits, list), where, "bits must be an array")
     _expect(len(bits) == width, where, f"bits length {len(bits)} != width {width}")
     for i, net in enumerate(bits):
-        _expect(_is_nonneg_int(net), f"{where}.bits[{i}]",
-                "net index must be a non-negative integer")
+        if not _is_nonneg_int(net):
+            raise JsonFormatError(f"{where}.bits[{i}]: net index must be a non-negative integer")
     return Port(
         name=name,
         bits=tuple(bits),
@@ -224,20 +224,25 @@ def from_json(text: str) -> Circuit:
 
     kinds = {k.value: k for k in GateKind}
     gates = []
+    # Messages are built only on the failing branch: this loop runs per gate.
     for i, g in enumerate(doc["gates"]):
-        where = f"gates[{i}]"
-        _expect(isinstance(g, dict), where, "expected an object")
+        if not isinstance(g, dict):
+            raise JsonFormatError(f"gates[{i}]: expected an object")
         for key in ("kind", "inputs", "output"):
-            _expect(key in g, where, f"missing field {key!r}")
-        _expect(isinstance(g["kind"], str) and g["kind"] in kinds,
-                where, f"unknown gate kind {g['kind']!r}")
-        _expect(isinstance(g["inputs"], list), where, "inputs must be an array")
-        for j, net in enumerate(g["inputs"]):
-            _expect(_is_nonneg_int(net), f"{where}.inputs[{j}]",
-                    "net index must be a non-negative integer")
-        out = g["output"]
-        _expect(_is_nonneg_int(out), f"{where}.output", "net index must be a non-negative integer")
-        gates.append(Gate(kind=kinds[g["kind"]], inputs=tuple(g["inputs"]), output=out))
+            if key not in g:
+                raise JsonFormatError(f"gates[{i}]: missing field {key!r}")
+        kind, ins, out = g["kind"], g["inputs"], g["output"]
+        if not (isinstance(kind, str) and kind in kinds):
+            raise JsonFormatError(f"gates[{i}]: unknown gate kind {kind!r}")
+        if not isinstance(ins, list):
+            raise JsonFormatError(f"gates[{i}]: inputs must be an array")
+        for j, net in enumerate(ins):
+            if not _is_nonneg_int(net):
+                raise JsonFormatError(
+                    f"gates[{i}].inputs[{j}]: net index must be a non-negative integer")
+        if not _is_nonneg_int(out):
+            raise JsonFormatError(f"gates[{i}].output: net index must be a non-negative integer")
+        gates.append(Gate(kind=kinds[kind], inputs=tuple(ins), output=out))
 
     # Each net is driven by exactly one input bit or gate, so a larger count
     # is invalid; rejecting it here also keeps the per-net tables of the

@@ -80,11 +80,6 @@ class MultiplierSpec:
         if arch is Architecture.FLAT_BW:
             if self.sign_a is not S or self.sign_b is not S:
                 raise ValueError("FlatBW requires sign_a = sign_b = Signed")
-            if n < 2:
-                raise ValueError("FlatBW requires width >= 2")
-        elif arch is Architecture.FLAT_UNSIGNED_ARRAY:
-            if n < 2 and S in (self.sign_a, self.sign_b):
-                raise ValueError("signed width must be >= 2")
         elif arch is Architecture.BOOTH_RADIX4:
             if self.sign_a is not S or self.sign_b is not S:
                 raise ValueError("BoothRadix4 requires sign_a = sign_b = Signed")

@@ -9,11 +9,12 @@ list of a builder-produced circuit is topologically ordered by construction.
 Finalized circuits are immutable; analyses may share them freely across
 threads and key per-net tables by the dense net index.  Validation, the
 gate schedule and the depth in levels come from one structural analysis
-that is computed once per ``Circuit`` object and cached on it (it is not a
-field, so equality, hashing and ``repr`` ignore it).  A concurrent first
-access may compute it twice, with the same result.  The depth and static
-timing share one longest-path pass, :func:`_arrivals`, with different
-costs per gate kind.
+cached on each ``Circuit`` object (not a field, so equality, hashing and
+``repr`` ignore it).  The builder checks each call and records it at
+``finalize``; any other circuit (JSON, hand-built) gets the full census on
+first access, which a concurrent first access may compute twice.  The
+depth and static timing share one longest-path pass, :func:`_arrivals`,
+with different costs per gate kind.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ class Violation:
 
 @dataclass(frozen=True)
 class _Analysis:
-    """Structural facts about one circuit, computed once by :func:`_analyse`.
+    """Structural facts about one circuit: from ``finalize`` or :func:`_analyse`.
 
     ``schedule`` and ``depth`` are meaningful only when ``violations`` is
     empty.  ``schedule`` is ``range(len(gates))`` when the gate list is
@@ -200,8 +201,7 @@ def _analyse(circuit: Circuit) -> _Analysis:
                  gate_index=stuck[0] if stuck else None)
         if not out:
             arrival = _arrivals(circuit, schedule, _LEVELS)
-    levels = [arrival[net] for p in circuit.outputs for net in p.bits] if arrival else []
-    return _Analysis(tuple(out), schedule, max(levels, default=0))
+    return _Analysis(tuple(out), schedule, _latest_output(circuit, arrival) if arrival else 0)
 
 
 # Gate levels as a cost per kind: only CONST gates have no inputs, and they
@@ -234,6 +234,11 @@ def _arrivals(
     return arrival
 
 
+def _latest_output(circuit: Circuit, arrival: Sequence[int]) -> int:
+    """The latest of ``arrival`` over every output-port bit; 0 without one."""
+    return max((arrival[net] for p in circuit.outputs for net in p.bits), default=0)
+
+
 def validate(circuit: Circuit) -> list[Violation]:
     """Check the structural invariants; returns one entry per violation.
 
@@ -245,7 +250,7 @@ def validate(circuit: Circuit) -> list[Violation]:
 
 
 class ValidationError(NetlistError):
-    """A finalize/load failed structural validation."""
+    """An invalid circuit reached an analysis, emitter or the simulator."""
 
     def __init__(self, violations: Sequence[Violation]):
         self.violations = list(violations)
@@ -297,8 +302,10 @@ class CircuitBuilder:
 
     Net ids are dense and allocated in construction order; gates may only
     reference nets that already exist, so the finished gate list is a valid
-    evaluation order.  ``finalize`` validates and returns an immutable
-    circuit; the builder must not be used afterwards.
+    evaluation order.  Each call checks its arguments (arity, allocated
+    nets, port names and widths) and every gate drives a fresh net, so
+    ``finalize`` records the analysis without a census and returns an
+    immutable circuit; the builder must not be used afterwards.
     """
 
     def __init__(self, name: str):
@@ -392,7 +399,8 @@ class CircuitBuilder:
         return self._const1 == net
 
     def finalize(self) -> Circuit:
-        """Validate and freeze the circuit."""
+        """Freeze the circuit; its analysis is the gate order plus one
+        longest-path pass, as the per-call checks leave no violation."""
         self._check_open()
         if not self._inputs or not self._outputs:
             raise NetlistError("circuit must have >= 1 input and >= 1 output port")
@@ -403,8 +411,8 @@ class CircuitBuilder:
             gates=tuple(self._gates),
             net_count=self._net_count,
         )
-        violations = validate(circuit)
-        if violations:
-            raise ValidationError(violations)
+        schedule = range(len(circuit.gates))
+        depth = _latest_output(circuit, _arrivals(circuit, schedule, _LEVELS))
+        circuit.__dict__["_analysis"] = _Analysis((), schedule, depth)
         self._done = True
         return circuit

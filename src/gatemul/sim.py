@@ -12,16 +12,18 @@ object like its structural analysis, outside the dataclass fields.
 Scalar and batch evaluation run the same program.  A batch packs many
 vectors into the bits of one Python integer per value ("lanes"), chunk by
 chunk; packing and unpacking transpose whole chunks at once (bytes, then
-8x8 bit blocks), and outputs are bit-identical to scalar evaluation.  Port
-values travel as int64 arrays when the port's range fits in int64 and as
-object arrays of exact Python ints otherwise, so the array path is exact at
-every width.  numpy is imported inside the functions that build or read
+8x8 bit blocks), and outputs are bit-identical to scalar evaluation.  Every
+entry point takes a port value once through ``operator.index``, so any
+integer is exact and anything else is refused.  Port values travel as int64
+arrays when the port's range fits in int64 and as object arrays of exact
+Python ints otherwise.  numpy is imported inside the functions that build or read
 those arrays, not at module top, so importing gatemul (as ``gen`` and
 ``compare`` do) does not load it.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .netlist import Circuit, GateKind, Signedness, _require_valid
@@ -55,7 +57,9 @@ def value_range(width: int, signedness: Signedness) -> tuple[int, int]:
 
 
 def encode(value: int, width: int, signedness: Signedness) -> list[int]:
-    """Two's-complement (or plain binary) bits of ``value``, LSB first."""
+    """Two's-complement (or plain binary) bits of ``operator.index(value)``,
+    LSB first; a value without ``__index__`` raises ``TypeError``."""
+    value = operator.index(value)
     lo, hi = value_range(width, signedness)
     if not lo <= value <= hi:
         raise ValueError(
@@ -217,18 +221,21 @@ def _check_names(circuit: Circuit, names) -> None:
 
 
 def evaluate(circuit: Circuit, inputs: Mapping[str, int]) -> dict[str, int]:
-    """Evaluate one assignment; returns output-port values decoded per port.
+    """Evaluate one assignment; returns output-port values as Python ints.
 
-    Every input port must be assigned a value in range for its width and
-    signedness.  Deterministic and pure: the same circuit and assignment
-    always produce the same outputs.
+    Every input port must be assigned an integer (``__index__``, so numpy
+    integer scalars too) in range for its width and signedness.
+    Deterministic and pure: the same circuit and assignment always produce
+    the same outputs.
     """
     program = _program(circuit)
     _check_names(circuit, inputs.keys())
-    lanes = [
-        bit for p in circuit.inputs
-        for bit in encode(inputs[p.name], p.width, p.signedness)
-    ]
+    lanes = []
+    for p in circuit.inputs:
+        try:
+            lanes += encode(inputs[p.name], p.width, p.signedness)
+        except TypeError:
+            raise ValueError(f"values for {p.name!r} must be integers") from None
     bits = _evaluate_lanes(program, lanes, 1)
     out, at = {}, 0
     for p in circuit.outputs:
@@ -332,11 +339,12 @@ def evaluate_vector_array(
 ) -> dict[str, np.ndarray]:
     """Vectorized :func:`evaluate` over equal-length arrays of port values.
 
-    Each input must be a one-dimensional array (or sequence) of integers:
-    integer or object dtype.  Vectors are packed into bit lanes and pushed
-    through the netlist in chunks of ``chunk_size``; results do not depend
-    on the chunking.  Each output is an int64 array when its port's range
-    fits in int64, else an object array of exact Python ints.
+    Each input must be a one-dimensional integer-dtype array, or an object
+    array or sequence whose items :func:`evaluate` accepts.  Vectors are
+    packed into bit lanes and pushed through the netlist in chunks of
+    ``chunk_size``; results do not depend on the chunking.  Each output is
+    an int64 array when its port's range fits in int64, else an object
+    array of exact Python ints.
     """
     import numpy as np
 
@@ -351,41 +359,36 @@ def evaluate_vector_array(
         if not isinstance(arr, np.ndarray):
             # Inferred, a dtype would turn ints of 2**63 and up into floats.
             arr = np.array(arr, dtype=object)
-        if arr.dtype.kind not in "iuO":
-            raise ValueError(f"values for {port.name!r} must be integers, not {arr.dtype}")
+        # Before the conversion, which turns a 0-d array into a bare int.
         if arr.ndim != 1:
             raise ValueError(f"values for {port.name!r} must be one-dimensional")
+        if arr.dtype == object:
+            try:
+                arr = np.frompyfunc(operator.index, 1, 1)(arr)
+            except TypeError:
+                raise ValueError(f"values for {port.name!r} must be integers") from None
+        elif arr.dtype.kind not in "iu":
+            raise ValueError(f"values for {port.name!r} must be integers, not {arr.dtype}")
         if n is None:
             n = len(arr)
         elif len(arr) != n:
             raise ValueError("all input arrays must have the same length")
         lo, hi = value_range(port.width, port.signedness)
-        try:
-            bad = (arr < lo) | (arr > hi)
-        except TypeError:  # an object array holding something that is no number
-            raise ValueError(f"values for {port.name!r} must be integers") from None
+        bad = (arr < lo) | (arr > hi)
         if bad.any():
             idx = int(np.argmax(bad))
             raise ValueError(
                 f"vector {idx}: value {int(arr[idx])} out of range "
                 f"[{lo}, {hi}] for port {port.name!r}"
             )
-        dtype = port_dtype(port.width, port.signedness)
-        exact = arr.astype(dtype, copy=False)
-        # Casting to int64 truncates a float; a wide port's packing refuses one.
-        if arr.dtype == object and dtype is np.int64 and (exact != arr).any():
-            raise ValueError(f"values for {port.name!r} must be integers")
-        arrays[port.name] = exact
+        arrays[port.name] = arr.astype(port_dtype(port.width, port.signedness), copy=False)
     assert n is not None
     out = {p.name: np.empty(n, port_dtype(p.width, p.signedness)) for p in circuit.outputs}
     for start in range(0, n, chunk_size):
         stop = min(start + chunk_size, n)
         lanes = []
         for p in circuit.inputs:
-            try:
-                lanes += _pack_port(arrays[p.name][start:stop], p.width)
-            except TypeError:  # a wide port's object array holding a non-integer
-                raise ValueError(f"values for {p.name!r} must be integers") from None
+            lanes += _pack_port(arrays[p.name][start:stop], p.width)
         bits = _evaluate_lanes(program, lanes, (1 << (stop - start)) - 1)
         at = 0
         for p in circuit.outputs:
@@ -404,18 +407,11 @@ def evaluate_batch(
     """Apply :func:`evaluate` to each assignment, order preserved."""
     if not vectors:
         return []
-    names = [p.name for p in circuit.inputs]
-    want = set(names)
     for idx, vec in enumerate(vectors):
-        if set(vec) != want:
-            missing = want - set(vec)
-            extra = set(vec) - want
-            what = f"missing input port(s) {sorted(missing)}" if missing else \
-                f"unknown input port(s) {sorted(extra)}"
-            raise ValueError(f"vector {idx}: {what}")
-    arrays = {name: [vec[name] for vec in vectors] for name in names}
+        try:
+            _check_names(circuit, vec.keys())
+        except ValueError as exc:
+            raise ValueError(f"vector {idx}: {exc}") from None
+    arrays = {p.name: [vec[p.name] for vec in vectors] for p in circuit.inputs}
     out = evaluate_vector_array(circuit, arrays, chunk_size=chunk_size)
-    out_names = [p.name for p in circuit.outputs]
-    return [
-        {name: int(out[name][i]) for name in out_names} for i in range(len(vectors))
-    ]
+    return [{name: int(col[i]) for name, col in out.items()} for i in range(len(vectors))]

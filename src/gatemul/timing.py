@@ -22,7 +22,7 @@ from math import lcm
 from typing import Mapping, Sequence
 import csv
 
-from .netlist import Circuit, Gate, GateKind, NetId, _arrivals, _require_valid
+from .netlist import Circuit, Gate, GateKind, NetId, _arrivals, _latest_output, _require_valid
 
 DelayLike = int | float | str | Fraction
 
@@ -135,7 +135,7 @@ def critical_path(circuit: Circuit, model: DelayModel) -> TimingReport:
     """
     schedule = _require_valid(circuit).schedule
     ticks = _arrivals(circuit, schedule, model._ticks)
-    best = max(ticks[net] for p in circuit.outputs for net in p.bits)
+    best = _latest_output(circuit, ticks)
     end = min(net for p in circuit.outputs for net in p.bits if ticks[net] == best)
 
     # A net's driver comes before every gate that reads it, so walking the

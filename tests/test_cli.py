@@ -92,13 +92,16 @@ class TestGen:
         )
         assert not out.exists()
 
-    def test_one_bit_signed_array_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("shape", [
+        ["--arch", "array", "--sign-a", "signed"],
+        ["--arch", "array", "--sign-b", "signed"],
+        ["--arch", "bw"],
+    ], ids=["array-su", "array-us", "bw"])
+    def test_one_bit_signed_array_builds(self, shape, tmp_path, capsys):
         out = tmp_path / "x.json"
-        code = run(["gen", "--arch", "array", "--width", "1",
-                    "--sign-a", "signed", "--out", str(out)])
-        assert code == 2
-        assert capsys.readouterr().err == "error: signed width must be >= 2\n"
-        assert not out.exists()
+        assert run(["gen", *shape, "--width", "1", "--out", str(out)]) == 0
+        assert run(["verify", str(out), "--exhaustive"]) == 0
+        assert "PASS (4 vectors, 0 failures)" in capsys.readouterr().out
 
 
 class TestVerify:

@@ -39,7 +39,7 @@ def assert_exact(circuit, spec):
 
 class TestBaughWooley:
     # Smallest widths first: they pinpoint any misplaced correction constant.
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_exhaustive(self, n):
         assert_exact(baugh_wooley_multiplier(n), spec_for(Architecture.FLAT_BW, n))
 
@@ -53,10 +53,6 @@ class TestBaughWooley:
     def test_most_negative_square(self):
         c = baugh_wooley_multiplier(4)
         assert evaluate(c, {"A": -8, "B": -8})["P"] == 64
-
-    def test_rejects_width_one(self):
-        with pytest.raises(ValueError):
-            baugh_wooley_multiplier(1)
 
     def test_output_port_shape(self):
         c = baugh_wooley_multiplier(6)
@@ -245,9 +241,15 @@ def test_generate_dispatch():
     assert generate(spec_for(Architecture.DECOMPOSED, 8, leaf=4)).name == "dec8_4_csa"
 
 
-def test_flat_array_spec_rejects_one_bit_signed_operand():
-    with pytest.raises(ValueError, match="signed width must be >= 2"):
-        MultiplierSpec(1, 1, S, U, Architecture.FLAT_UNSIGNED_ARRAY)
+def test_one_bit_flat_arrays_are_exact():
+    # Both flat architectures at width 1, every sign pair each accepts, under
+    # both combiners: the complement rule needs no second bit.
+    shapes = [(Architecture.FLAT_BW, S, S)]
+    shapes += [(Architecture.FLAT_UNSIGNED_ARRAY, sa, sb) for sa in (S, U) for sb in (S, U)]
+    for arch, sa, sb in shapes:
+        for combiner in Combiner:
+            spec = spec_for(arch, 1, sa, sb, combiner=combiner)
+            assert_exact(generate(spec), spec)
 
 
 def _digest_specs():

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gatemul.multipliers import (
     MultiplierSpec,
     baugh_wooley_multiplier,
     generate,
+    mixed_sign_multiplier,
     unsigned_array_multiplier,
 )
 from gatemul.netlist import (
@@ -160,6 +162,9 @@ def test_vector_array_shape_checks():
         evaluate_vector_array(c, {"A": [1, 2], "B": [1]})
     with pytest.raises(ValueError, match="one-dimensional"):
         evaluate_vector_array(c, {"A": [[1]], "B": [[1]]})
+    for zero_d in (1, np.int64(1), np.array(1), np.array(1, dtype=object)):
+        with pytest.raises(ValueError, match="'A' must be one-dimensional"):
+            evaluate_vector_array(c, {"A": zero_d, "B": [1]})
 
 
 def test_signed_output_port_decoding():
@@ -265,7 +270,7 @@ class TestNonIntegerInput:
             evaluate_vector_array(c, {"A": [1, 2], "B": np.array([1.0, 2.0])})
 
     def test_non_integer_rejected_on_a_wide_port(self):
-        # Ports past int64 are object arrays, whose packing refuses a float.
+        # Ports past int64 take object arrays, which must hold integers too.
         c = unsigned_array_multiplier(64)
         with pytest.raises(ValueError, match="'A' must be integers"):
             evaluate_vector_array(c, {"A": [1.5, 2], "B": [1, 2]})
@@ -283,6 +288,45 @@ class TestNonIntegerInput:
             assert evaluate_vector_array(c, {"A": a, "B": [1, 1, 1]})["P"].tolist() == expect
         out = evaluate_vector_array(c, {"A": [], "B": np.zeros(0, np.uint8)})["P"]
         assert out.dtype == np.int64 and len(out) == 0
+
+
+@pytest.fixture(scope="module")
+def su64():
+    """A signed 64-bit port A (int64 arrays) and an unsigned one B (object)."""
+    return mixed_sign_multiplier(64, S, U)
+
+
+class TestOneIntegerRule:
+    """Every entry point takes a port value through ``operator.index`` and
+    gives the same exact Python-int product or the same ``ValueError``."""
+
+    ENTRY_POINTS = {
+        "evaluate": lambda c, vec: evaluate(c, vec)["P"],
+        "evaluate_batch": lambda c, vec: evaluate_batch(c, [vec])[0]["P"],
+        "evaluate_vector_array":
+            lambda c, vec: evaluate_vector_array(c, {k: [v] for k, v in vec.items()})["P"][0],
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("port", ["A", "B"])
+    @pytest.mark.parametrize("value", [
+        np.uint16(65535), np.uint64(1 << 63), np.int8(-128), np.int64(3),
+        2.0, 1.5, "3", None, Fraction(2),
+    ], ids=repr)
+    def test_same_product_or_error(self, su64, entry, port, value):
+        vec = {"A": 4, "B": 4, port: value}
+        run = self.ENTRY_POINTS[entry]
+        if not hasattr(value, "__index__"):
+            with pytest.raises(ValueError, match=f"values for '{port}' must be integers"):
+                run(su64, vec)
+            return
+        lo, hi = value_range(64, S if port == "A" else U)
+        if not lo <= int(value) <= hi:
+            with pytest.raises(ValueError, match="out of range"):
+                run(su64, vec)
+            return
+        got = run(su64, vec)
+        assert type(got) is int and got == int(value) * 4
 
 
 def _inverted_every(circuit: Circuit, step: int) -> Circuit:
