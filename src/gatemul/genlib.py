@@ -121,6 +121,27 @@ def _sum_bit3(b: CircuitBuilder, x: NetId, y: NetId, z: NetId) -> NetId:
     return xor2(b, xor2(b, x, y), z)
 
 
+def _ripple_below_top(
+    b: CircuitBuilder,
+    a_bits: Sequence[NetId],
+    b_bits: Sequence[NetId],
+    cin: NetId | None,
+    name: str,
+) -> tuple[list[NetId], NetId]:
+    """Ripple every column but the top; returns their sums and the carry
+    into the top column, which each caller adds its own way."""
+    if len(a_bits) != len(b_bits):
+        raise NetlistError(f"{name} width mismatch: {len(a_bits)} vs {len(b_bits)}")
+    if not a_bits:
+        raise NetlistError(f"{name} needs width >= 1")
+    carry = cin if cin is not None else b.const0()
+    sums: list[NetId] = []
+    for ai, bi in zip(a_bits[:-1], b_bits[:-1]):
+        s, carry = _add_bit3(b, ai, bi, carry)
+        sums.append(s)
+    return sums, carry
+
+
 def ripple_carry_adder(
     b: CircuitBuilder,
     a_bits: Sequence[NetId],
@@ -132,18 +153,8 @@ def ripple_carry_adder(
     Callers needing modular addition drop the top bit, or use
     :func:`ripple_carry_adder_mod` which never builds the carry-out logic.
     """
-    if len(a_bits) != len(b_bits):
-        raise NetlistError(
-            f"ripple_carry_adder width mismatch: {len(a_bits)} vs {len(b_bits)}"
-        )
-    if not a_bits:
-        raise NetlistError("ripple_carry_adder needs width >= 1")
-    carry = cin if cin is not None else b.const0()
-    sums: list[NetId] = []
-    for ai, bi in zip(a_bits, b_bits):
-        s, carry = _add_bit3(b, ai, bi, carry)
-        sums.append(s)
-    sums.append(carry)
+    sums, carry = _ripple_below_top(b, a_bits, b_bits, cin, "ripple_carry_adder")
+    sums += _add_bit3(b, a_bits[-1], b_bits[-1], carry)
     return sums
 
 
@@ -154,17 +165,7 @@ def ripple_carry_adder_mod(
     cin: NetId | None = None,
 ) -> list[NetId]:
     """Ripple addition modulo 2**n: n bits out, no carry-out gates."""
-    if len(a_bits) != len(b_bits):
-        raise NetlistError(
-            f"ripple_carry_adder_mod width mismatch: {len(a_bits)} vs {len(b_bits)}"
-        )
-    if not a_bits:
-        raise NetlistError("ripple_carry_adder_mod needs width >= 1")
-    carry = cin if cin is not None else b.const0()
-    sums: list[NetId] = []
-    for ai, bi in zip(a_bits[:-1], b_bits[:-1]):
-        s, carry = _add_bit3(b, ai, bi, carry)
-        sums.append(s)
+    sums, carry = _ripple_below_top(b, a_bits, b_bits, cin, "ripple_carry_adder_mod")
     sums.append(_sum_bit3(b, a_bits[-1], b_bits[-1], carry))
     return sums
 
@@ -174,46 +175,37 @@ def carry_save_reduce(
     rows: Sequence[Row],
     drop_above: int | None = None,
 ) -> tuple[list[NetId], list[NetId]]:
-    """Compress weighted rows to two rows whose sum equals the row total.
+    """Compress any number of weighted rows to two rows whose sum equals
+    the weighted row total.
 
     Greedy per-column 3:2 compression, columns taken in ascending order
     within each pass, until every column holds at most two dots.  The two
-    returned rows are aligned at column 0; one final ripple addition of the
-    pair yields the total.  With two or fewer equally-weighted rows the
-    input is returned unchanged (no gates added).
+    returned rows are aligned at column 0 and have equal length; one final
+    ripple addition of the pair yields the total.  A column that already
+    holds two dots or fewer gets no adder cell.
 
     ``drop_above`` discards columns at or above the given index, i.e. the
-    preserved total is modulo 2**drop_above.
+    preserved total is modulo 2**drop_above, and both rows then have
+    exactly ``drop_above`` columns.
     """
     if not rows:
         raise NetlistError("carry_save_reduce needs at least one row")
-    norm = [(list(bits), int(w)) for bits, w in rows]
-    for bits, w in norm:
-        if not bits:
-            raise NetlistError("carry_save_reduce rows must be non-empty")
-        if w < 0:
-            raise NetlistError("row weights must be non-negative")
-
-    if len(norm) <= 2 and len({w for _, w in norm}) == 1:
-        first = norm[0][0]
-        if len(norm) == 2:
-            return list(first), list(norm[1][0])
-        return list(first), [b.const0()] * len(first)
-
-    cols: dict[int, list[NetId]] = defaultdict(list)
-    for bits, w in norm:
-        for i, net in enumerate(bits):
-            c = w + i
-            if drop_above is not None and c >= drop_above:
-                continue
-            if not b.is_const0(net):
-                cols[c].append(net)
 
     def _put(d: dict[int, list[NetId]], c: int, net: NetId) -> None:
         if drop_above is not None and c >= drop_above:
             return
         if not b.is_const0(net):
             d[c].append(net)
+
+    cols: dict[int, list[NetId]] = defaultdict(list)
+    for bits, w in rows:
+        w = int(w)
+        if not bits:
+            raise NetlistError("carry_save_reduce rows must be non-empty")
+        if w < 0:
+            raise NetlistError("row weights must be non-negative")
+        for i, net in enumerate(bits):
+            _put(cols, w + i, net)
 
     while any(len(dots) > 2 for dots in cols.values()):
         nxt: dict[int, list[NetId]] = defaultdict(list)

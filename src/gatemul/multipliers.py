@@ -109,8 +109,6 @@ def _sum_rows(
     """Sum weighted rows modulo 2**width, returning exactly ``width`` bits."""
     if combiner is Combiner.CSA_TREE:
         row_a, row_b = genlib.carry_save_reduce(b, rows, drop_above=width)
-        row_a = (list(row_a) + [b.const0()] * width)[:width]
-        row_b = (list(row_b) + [b.const0()] * width)[:width]
         return genlib.ripple_carry_adder_mod(b, row_a, row_b)
     acc = [b.const0()] * width
     for bits, w in rows:
@@ -123,6 +121,14 @@ def _constant_rows(b: CircuitBuilder, correction: int, width: int) -> list[genli
     """One constant-1 dot per set bit of ``correction`` mod 2**width."""
     correction &= (1 << width) - 1
     return [([b.const1()], col) for col in range(width) if (correction >> col) & 1]
+
+
+def _fold_sign(b: CircuitBuilder, bits: list[NetId], weight: int) -> tuple[genlib.Row, int]:
+    """A signed row at ``weight`` as a positive row plus a correction: its
+    MSB at column k weighs -2^k, and -x * 2^k == (~x) * 2^k - 2^k (mod
+    2^2n), so the MSB is inverted and -2^k is returned to add."""
+    k = weight + len(bits) - 1
+    return (bits[:-1] + [genlib.not_(b, bits[-1])], weight), -(1 << k)
 
 
 def _array_rows(
@@ -179,18 +185,14 @@ def _decomposed_product(
     lh = quadrant(al, bh, U, sign_b)
     hh = quadrant(ah, bh, sign_a, sign_b)
 
-    # Sign extension is folded algebraically: a signed quadrant product at
-    # weight w contributes -msb * 2^(w+n-1) beyond its magnitude bits, and
-    # -msb * 2^k == (~msb) * 2^k - 2^k (mod 2^2n), so the replicated sign
-    # columns become one inverted bit plus constant dots.
+    # A signed quadrant product's MSB has negative weight: its replicated
+    # sign columns fold into one inverted bit plus constant dots.
     rows: list[genlib.Row] = []
     correction = 0
-    for bits, weight, signed in ((hl, half, sign_a is S), (lh, half, sign_b is S)):
-        if signed:
-            rows.append((bits[:-1] + [genlib.not_(b, bits[-1])], weight))
-            correction -= 1 << (weight + len(bits) - 1)
-        else:
-            rows.append((bits, weight))
+    for bits, signed in ((hl, sign_a is S), (lh, sign_b is S)):
+        row, fix = _fold_sign(b, bits, half) if signed else ((bits, half), 0)
+        rows.append(row)
+        correction += fix
     rows.append((hh, n))
     rows.append((ll, 0))  # last: its upper bits arrive latest
     rows += _constant_rows(b, correction, 2 * n)
@@ -203,7 +205,7 @@ def _booth_rows(
     """Radix-4 recoded rows: one (n+1)-bit selection from {0,+-B,+-2B} per
     overlapping 3-bit group of A, negatives as complement plus a +1 dot.
     Sign extension of each row is folded into an inverted MSB plus a
-    constant, as in the decomposition combiner."""
+    constant by :func:`_fold_sign`, as in the decomposition combiner."""
     n = len(abits)
     bx = list(bbits) + [bbits[-1]]  # B sign-extended one bit for the 2B shift
     rows: list[genlib.Row] = []
@@ -224,9 +226,9 @@ def _booth_rows(
             pp.append(genlib.xor2(b, sel, neg))
         # Row MSB sits at column 2g+n < 2n-1 for even n, so every row has
         # replicated sign columns to fold.
-        pp[-1] = genlib.not_(b, pp[-1])
-        correction -= 1 << (2 * g + n)
-        rows.append((pp, 2 * g))
+        row, fix = _fold_sign(b, pp, 2 * g)
+        correction += fix
+        rows.append(row)
         rows.append(([neg], 2 * g))
     return rows + _constant_rows(b, correction, 2 * n)
 

@@ -302,10 +302,10 @@ class CircuitBuilder:
 
     Net ids are dense and allocated in construction order; gates may only
     reference nets that already exist, so the finished gate list is a valid
-    evaluation order.  Each call checks its arguments (arity, allocated
-    nets, port names and widths) and every gate drives a fresh net, so
-    ``finalize`` records the analysis without a census and returns an
-    immutable circuit; the builder must not be used afterwards.
+    evaluation order.  Each call checks its arguments (arity, net ids that
+    are allocated ints, port names and widths) and every gate drives a
+    fresh net, so ``finalize`` records the analysis without a census and
+    returns an immutable circuit; the builder must not be used afterwards.
     """
 
     def __init__(self, name: str):
@@ -361,6 +361,8 @@ class CircuitBuilder:
         if any(p.name == name for p in self._outputs):
             raise NetlistError(f"duplicate output port {name!r}")
         for net in bits:
+            if type(net) is not int:
+                raise NetlistError(f"output port {name!r} net id {net!r} is not an int")
             if not 0 <= net < self._net_count:
                 raise NetlistError(f"output port {name!r} references unallocated net {net}")
         self._outputs.append(Port(name, tuple(bits), signedness))
@@ -374,6 +376,8 @@ class CircuitBuilder:
                 f"{kind.value} takes {kind.arity} inputs, got {len(ins)}"
             )
         for net in ins:
+            if type(net) is not int:
+                raise NetlistError(f"gate input net id {net!r} is not an int")
             if not 0 <= net < self._net_count:
                 raise NetlistError(f"gate references unallocated net {net}")
         out = self._fresh_net()

@@ -236,6 +236,12 @@ def evaluate(circuit: Circuit, inputs: Mapping[str, int]) -> dict[str, int]:
             lanes += encode(inputs[p.name], p.width, p.signedness)
         except TypeError:
             raise ValueError(f"values for {p.name!r} must be integers") from None
+        except ValueError:
+            lo, hi = value_range(p.width, p.signedness)
+            raise ValueError(
+                f"value {operator.index(inputs[p.name])} out of range "
+                f"[{lo}, {hi}] for port {p.name!r}"
+            ) from None
     bits = _evaluate_lanes(program, lanes, 1)
     out, at = {}, 0
     for p in circuit.outputs:

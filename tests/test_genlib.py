@@ -174,32 +174,38 @@ class TestCarrySaveReduce:
             assert out["ra"] + out["rb"] == sum(vec.values())
 
     def test_weighted_rows(self):
-        b = CircuitBuilder("csa")
-        rows = [(b.add_input(f"r{i}", 3, U), w) for i, w in enumerate((0, 2, 3, 1))]
-        ra, rb = carry_save_reduce(b, rows)
-        b.add_output("ra", ra, U)
-        b.add_output("rb", rb, U)
-        circ = b.finalize()
-        rng = random.Random(6)
-        for _ in range(200):
-            vec = {f"r{i}": rng.randrange(8) for i in range(4)}
-            out = evaluate(circ, vec)
-            want = sum(vec[f"r{i}"] << w for i, (_, w) in enumerate(rows))
-            assert out["ra"] + out["rb"] == want
+        # Four weights, then one or two rows of one weight, which keep it.
+        for weights in ((0, 2, 3, 1), (3,), (2, 2), (1, 1), (5, 5)):
+            b = CircuitBuilder("csa")
+            rows = [(b.add_input(f"r{i}", 3, U), w) for i, w in enumerate(weights)]
+            ra, rb = carry_save_reduce(b, rows)
+            assert len(ra) == len(rb)
+            b.add_output("ra", ra, U)
+            b.add_output("rb", rb, U)
+            circ = b.finalize()
+            rng = random.Random(6)
+            for _ in range(200):
+                vec = {f"r{i}": rng.randrange(8) for i in range(len(rows))}
+                out = evaluate(circ, vec)
+                want = sum(vec[f"r{i}"] << w for i, (_, w) in enumerate(rows))
+                assert out["ra"] + out["rb"] == want
 
     def test_drop_above_reduces_modulo(self):
-        b = CircuitBuilder("csa")
-        rows = [b.add_input(f"r{i}", 4, U) for i in range(5)]
-        ra, rb = carry_save_reduce(b, [(r, 0) for r in rows], drop_above=4)
-        assert len(ra) == len(rb) == 4
-        b.add_output("ra", ra, U)
-        b.add_output("rb", rb, U)
-        circ = b.finalize()
-        rng = random.Random(7)
-        for _ in range(300):
-            vec = {f"r{i}": rng.randrange(16) for i in range(5)}
-            out = evaluate(circ, vec)
-            assert (out["ra"] + out["rb"]) % 16 == sum(vec.values()) % 16
+        # Five rows as wide as drop_above, then one or two wider rows.
+        for nrows, width, drop_above in ((5, 4, 4), (1, 2, 1), (2, 2, 1), (2, 6, 4)):
+            b = CircuitBuilder("csa")
+            rows = [b.add_input(f"r{i}", width, U) for i in range(nrows)]
+            ra, rb = carry_save_reduce(b, [(r, 0) for r in rows], drop_above=drop_above)
+            assert len(ra) == len(rb) == drop_above
+            b.add_output("ra", ra, U)
+            b.add_output("rb", rb, U)
+            circ = b.finalize()
+            mod = 1 << drop_above
+            rng = random.Random(7)
+            for _ in range(300):
+                vec = {f"r{i}": rng.randrange(1 << width) for i in range(nrows)}
+                out = evaluate(circ, vec)
+                assert (out["ra"] + out["rb"]) % mod == sum(vec.values()) % mod
 
     def test_empty_rows_rejected(self):
         b = CircuitBuilder("csa")
@@ -209,7 +215,7 @@ class TestCarrySaveReduce:
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_sum_preservation_property(self, data):
-        nrows = data.draw(st.integers(min_value=3, max_value=6))
+        nrows = data.draw(st.integers(min_value=1, max_value=6))
         width = data.draw(st.integers(min_value=1, max_value=5))
         weights = data.draw(
             st.lists(st.integers(min_value=0, max_value=3), min_size=nrows, max_size=nrows)

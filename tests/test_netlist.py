@@ -112,6 +112,10 @@ def test_builder_error_messages():
         (lambda: b.add_gate(GateKind.AND2, [a0, 7]), "gate references unallocated net 7"),
         (lambda: b.add_gate(GateKind.BUF, [-1]), "gate references unallocated net -1"),
         (lambda: b.add_output("Y", [a1, 2], U), "output port 'Y' references unallocated net 2"),
+        (lambda: b.add_gate(GateKind.NOT, [0.5]), "gate input net id 0.5 is not an int"),
+        (lambda: b.add_gate(GateKind.AND2, [a0, "1"]), "gate input net id '1' is not an int"),
+        (lambda: b.add_gate(GateKind.BUF, [True]), "gate input net id True is not an int"),
+        (lambda: b.add_output("Y", [a0, 1.0], U), "output port 'Y' net id 1.0 is not an int"),
     ]
     for call, message in cases:
         with pytest.raises(NetlistError) as err:

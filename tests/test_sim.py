@@ -322,7 +322,7 @@ class TestOneIntegerRule:
             return
         lo, hi = value_range(64, S if port == "A" else U)
         if not lo <= int(value) <= hi:
-            with pytest.raises(ValueError, match="out of range"):
+            with pytest.raises(ValueError, match=f"out of range .* for port '{port}'$"):
                 run(su64, vec)
             return
         got = run(su64, vec)
