@@ -96,9 +96,9 @@ def to_verilog(circuit: Circuit) -> str:
         lines.append(f"  output {rng}{port_name[p]};")
     for g in circuit.gates:
         lines.append(f"  wire n{g.output};")
-    for g in circuit.gates:
-        expr = _GATE_EXPR[g.kind]([ref[i] for i in g.inputs])
-        lines.append(f"  assign n{g.output} = {expr};")
+    for kind, ins, out in circuit.gates:
+        expr = _GATE_EXPR[kind]([ref[i] for i in ins])
+        lines.append(f"  assign n{out} = {expr};")
     for p in circuit.outputs:
         for i, net in enumerate(p.bits):
             target = port_name[p] if p.width == 1 else f"{port_name[p]}[{i}]"
@@ -155,8 +155,8 @@ def to_json(circuit: Circuit) -> str:
     _require_valid(circuit)
     templates = _GATE_JSON
     gates = [
-        templates[len(g.inputs)] % (_quote(g.kind.value), *g.inputs, g.output)
-        for g in circuit.gates
+        templates[len(ins)] % (_quote(kind.value), *ins, out)
+        for kind, ins, out in circuit.gates
     ]
     return _DOC_JSON % (
         _quote(circuit.name),

@@ -8,6 +8,7 @@ censuses honest when correction constants or zero padding flow through.
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from typing import Sequence
 
@@ -22,7 +23,7 @@ def not_(b: CircuitBuilder, x: NetId) -> NetId:
         return b.const1()
     if b.is_const1(x):
         return b.const0()
-    return b.add_gate(GateKind.NOT, [x])
+    return b.add_gate(GateKind.NOT, (x,))
 
 
 def and2(b: CircuitBuilder, x: NetId, y: NetId) -> NetId:
@@ -32,7 +33,7 @@ def and2(b: CircuitBuilder, x: NetId, y: NetId) -> NetId:
         return y
     if b.is_const1(y):
         return x
-    return b.add_gate(GateKind.AND2, [x, y])
+    return b.add_gate(GateKind.AND2, (x, y))
 
 
 def nand2(b: CircuitBuilder, x: NetId, y: NetId) -> NetId:
@@ -42,7 +43,7 @@ def nand2(b: CircuitBuilder, x: NetId, y: NetId) -> NetId:
         return not_(b, y)
     if b.is_const1(y):
         return not_(b, x)
-    return b.add_gate(GateKind.NAND2, [x, y])
+    return b.add_gate(GateKind.NAND2, (x, y))
 
 
 def or2(b: CircuitBuilder, x: NetId, y: NetId) -> NetId:
@@ -52,7 +53,7 @@ def or2(b: CircuitBuilder, x: NetId, y: NetId) -> NetId:
         return y
     if b.is_const0(y):
         return x
-    return b.add_gate(GateKind.OR2, [x, y])
+    return b.add_gate(GateKind.OR2, (x, y))
 
 
 def xor2(b: CircuitBuilder, x: NetId, y: NetId) -> NetId:
@@ -64,28 +65,33 @@ def xor2(b: CircuitBuilder, x: NetId, y: NetId) -> NetId:
         return not_(b, y)
     if b.is_const1(y):
         return not_(b, x)
-    return b.add_gate(GateKind.XOR2, [x, y])
+    return b.add_gate(GateKind.XOR2, (x, y))
 
 
 def half_adder(b: CircuitBuilder, a: NetId, x: NetId) -> tuple[NetId, NetId]:
     """sum = a^x, carry = a&x.  Always adds exactly 2 gates."""
-    s = b.add_gate(GateKind.XOR2, [a, x])
-    c = b.add_gate(GateKind.AND2, [a, x])
+    s = b.add_gate(GateKind.XOR2, (a, x))
+    c = b.add_gate(GateKind.AND2, (a, x))
     return s, c
 
 
 def full_adder(b: CircuitBuilder, a: NetId, x: NetId, cin: NetId) -> tuple[NetId, NetId]:
     """sum = a^x^cin, carry = (a&x) | (cin & (a^x)).  Always adds 5 gates."""
-    s1 = b.add_gate(GateKind.XOR2, [a, x])
-    s = b.add_gate(GateKind.XOR2, [s1, cin])
-    c1 = b.add_gate(GateKind.AND2, [a, x])
-    c2 = b.add_gate(GateKind.AND2, [cin, s1])
-    carry = b.add_gate(GateKind.OR2, [c1, c2])
+    s1 = b.add_gate(GateKind.XOR2, (a, x))
+    s = b.add_gate(GateKind.XOR2, (s1, cin))
+    c1 = b.add_gate(GateKind.AND2, (a, x))
+    c2 = b.add_gate(GateKind.AND2, (cin, s1))
+    carry = b.add_gate(GateKind.OR2, (c1, c2))
     return s, carry
 
 
 def _add_bit3(b: CircuitBuilder, x: NetId, y: NetId, z: NetId) -> tuple[NetId, NetId]:
     """3:2 compress one column, folding any known-constant operands."""
+    # Most cells have no constant operand; the builder's fields are read
+    # directly, as method calls here cost more than the check.
+    consts = (b._const0, b._const1)
+    if x not in consts and y not in consts and z not in consts:
+        return full_adder(b, x, y, z)
     ones = 0
     rest: list[NetId] = []
     for t in (x, y, z):
@@ -170,6 +176,13 @@ def ripple_carry_adder_mod(
     return sums
 
 
+def _as_int(value, what: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise NetlistError(f"{what} must be an int, got {value!r}") from None
+
+
 def carry_save_reduce(
     b: CircuitBuilder,
     rows: Sequence[Row],
@@ -186,49 +199,48 @@ def carry_save_reduce(
 
     ``drop_above`` discards columns at or above the given index, i.e. the
     preserved total is modulo 2**drop_above, and both rows then have
-    exactly ``drop_above`` columns.
+    exactly ``drop_above`` columns.  Non-int or negative weights and a
+    ``drop_above`` that is not an int >= 1 raise :class:`NetlistError`.
     """
     if not rows:
         raise NetlistError("carry_save_reduce needs at least one row")
+    top = float("inf") if drop_above is None else _as_int(drop_above, "drop_above")
+    if top < 1:
+        raise NetlistError(f"drop_above must be >= 1, got {top}")
 
-    def _put(d: dict[int, list[NetId]], c: int, net: NetId) -> None:
-        if drop_above is not None and c >= drop_above:
-            return
-        if not b.is_const0(net):
-            d[c].append(net)
-
+    # Dots in columns from ``top`` up and CONST0 dots are never placed.  A cell
+    # may allocate CONST0, so it is read from the builder after each cell.
     cols: dict[int, list[NetId]] = defaultdict(list)
+    zero = b._const0
     for bits, w in rows:
-        w = int(w)
+        w = _as_int(w, "row weight")
         if not bits:
             raise NetlistError("carry_save_reduce rows must be non-empty")
         if w < 0:
             raise NetlistError("row weights must be non-negative")
-        for i, net in enumerate(bits):
-            _put(cols, w + i, net)
+        for c, net in enumerate(bits, w):
+            if c < top and net != zero:
+                cols[c].append(net)
 
     while any(len(dots) > 2 for dots in cols.values()):
         nxt: dict[int, list[NetId]] = defaultdict(list)
         for c in sorted(cols):
             dots = cols[c]
-            i = 0
-            while len(dots) - i >= 3:
-                trio = dots[i : i + 3]
-                if drop_above is not None and c + 1 >= drop_above:
-                    _put(nxt, c, _sum_bit3(b, *trio))
+            full = len(dots) // 3 * 3
+            for i in range(0, full, 3):
+                if c + 1 < top:
+                    s, carry = _add_bit3(b, dots[i], dots[i + 1], dots[i + 2])
+                    if carry != b._const0:
+                        nxt[c + 1].append(carry)
                 else:
-                    s, carry = _add_bit3(b, *trio)
-                    _put(nxt, c, s)
-                    _put(nxt, c + 1, carry)
-                i += 3
-            for net in dots[i:]:
-                _put(nxt, c, net)
+                    s = _sum_bit3(b, dots[i], dots[i + 1], dots[i + 2])
+                if s != b._const0:
+                    nxt[c].append(s)
+            if full < len(dots):
+                nxt[c] += dots[full:]
         cols = nxt
 
-    if drop_above is not None:
-        width = drop_above
-    else:
-        width = (max(cols) + 1) if cols else 1
+    width = top if drop_above is not None else (max(cols) + 1 if cols else 1)
     row_a: list[NetId] = []
     row_b: list[NetId] = []
     for c in range(width):

@@ -5,6 +5,8 @@ arity (two-input logic plus NOT/BUF and constants), bit-vector ports with
 LSB-first bit order, and an append-only builder that hands out fresh net
 ids.  Because a gate may only reference nets that already exist, the gate
 list of a builder-produced circuit is topologically ordered by construction.
+A :class:`Gate` is a named tuple: it equals and unpacks to its field tuple
+``(kind, inputs, output)``, and ``gate._replace(kind=...)`` changes a field.
 
 Finalized circuits are immutable; analyses may share them freely across
 threads and key per-net tables by the dense net index.  Validation, the
@@ -25,7 +27,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 NetId = int
 
@@ -69,8 +71,7 @@ class NetlistError(ValueError):
     """Raised on misuse of the construction API."""
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     kind: GateKind
     inputs: tuple[NetId, ...]
     output: NetId
@@ -222,15 +223,15 @@ def _arrivals(
             arrival[net] = 0
     gates = circuit.gates
     for gi in schedule:
-        g = gates[gi]
+        kind, ins, out = gates[gi]
         top = 0
-        for net in g.inputs:
+        for net in ins:
             t = arrival[net]
             if t > top:
                 top = t
             elif t < 0:
                 return None
-        arrival[g.output] = top + cost[g.kind]
+        arrival[out] = top + cost[kind]
     return arrival
 
 
@@ -333,11 +334,6 @@ class CircuitBuilder:
         if self._done:
             raise NetlistError("builder already finalized")
 
-    def _fresh_net(self) -> NetId:
-        net = self._net_count
-        self._net_count += 1
-        return net
-
     def add_input(self, name: str, width: int, signedness: Signedness) -> list[NetId]:
         """Allocate ``width`` fresh nets for a new input port, LSB first."""
         self._check_open()
@@ -347,7 +343,8 @@ class CircuitBuilder:
             raise NetlistError(f"port {name!r} must have width >= 1")
         if any(p.name == name for p in self._inputs):
             raise NetlistError(f"duplicate input port {name!r}")
-        bits = [self._fresh_net() for _ in range(width)]
+        bits = list(range(self._net_count, self._net_count + width))
+        self._net_count += width
         self._inputs.append(Port(name, tuple(bits), signedness))
         return bits
 
@@ -369,19 +366,23 @@ class CircuitBuilder:
 
     def add_gate(self, kind: GateKind, inputs: Iterable[NetId]) -> NetId:
         """Append a gate over existing nets; returns its fresh output net."""
-        self._check_open()
+        # Called once per generated gate: the open check and the net
+        # allocation are inlined, and the tuple skips NamedTuple's __new__.
+        if self._done:
+            raise NetlistError("builder already finalized")
         ins = tuple(inputs)
         if len(ins) != kind.arity:
             raise NetlistError(
                 f"{kind.value} takes {kind.arity} inputs, got {len(ins)}"
             )
+        out = self._net_count
         for net in ins:
             if type(net) is not int:
                 raise NetlistError(f"gate input net id {net!r} is not an int")
-            if not 0 <= net < self._net_count:
+            if not 0 <= net < out:
                 raise NetlistError(f"gate references unallocated net {net}")
-        out = self._fresh_net()
-        self._gates.append(Gate(kind, ins, out))
+        self._net_count = out + 1
+        self._gates.append(tuple.__new__(Gate, (kind, ins, out)))
         return out
 
     def const0(self) -> NetId:

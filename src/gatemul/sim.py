@@ -144,9 +144,8 @@ def _compile(circuit: Circuit) -> _Program:
     count = len(in_nets)
     free = [slot[net] for net in in_nets if last[net] < 0]
     ops, outs, in0, in1 = [], [], [], []
-    for t, g in enumerate(order):
-        ins = g.inputs
-        ops.append(_OPCODES[g.kind])
+    for t, (kind, ins, out) in enumerate(order):
+        ops.append(_OPCODES[kind])
         in0.append(slot[ins[0]] if ins else 0)
         in1.append(slot[ins[-1]] if ins else 0)
         for net in ins:
@@ -158,9 +157,9 @@ def _compile(circuit: Circuit) -> _Program:
         else:
             s = count
             count += 1
-        slot[g.output] = s
+        slot[out] = s
         outs.append(s)
-        if last[g.output] < 0:
+        if last[out] < 0:
             free.append(s)
     out_slots = [slot[net] for p in circuit.outputs for net in p.bits]
     return _Program(ops, outs, in0, in1, out_slots, count)

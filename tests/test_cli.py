@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from gatemul import cli
 from gatemul.cli import main
 from gatemul.emit import from_json, to_json
 from gatemul.multipliers import baugh_wooley_multiplier
@@ -371,6 +373,58 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--width", "8"])  # missing --arch and --out
     assert exc.value.code == 2
+
+
+class TestCollectorState:
+    """main pauses the cyclic collector while gen and compare run and
+    leaves it as it found it; verify runs with it untouched."""
+
+    @pytest.fixture(params=[True, False], ids=["gc_enabled", "gc_disabled"])
+    def gc_state(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @staticmethod
+    def _spy(monkeypatch, name):
+        """Record ``gc.isenabled()`` at each call of ``cli.<name>``."""
+        seen = []
+        real = getattr(cli, name)
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+        return seen
+
+    @pytest.mark.parametrize("argv, code", [
+        (["gen", "--arch", "bw", "--width", "8", "--out", "{dir}/bw8.json"], 0),
+        (["gen", "--arch", "bw", "--width", "8", "--out", "{dir}/bw8.txt"], 2),
+        (["compare", "--width", "8", "bw", "booth4", "decomposed:4"], 0),
+    ], ids=["gen", "gen_exit_2", "compare"])
+    def test_gen_and_compare_pause_it(self, gc_state, monkeypatch, tmp_path, argv, code):
+        seen = self._spy(monkeypatch, "generate")
+        assert run([a.format(dir=tmp_path) for a in argv]) == code
+        assert seen and not any(seen)
+        assert gc.isenabled() is gc_state
+
+    def test_verify_runs_with_it_as_found(self, gc_state, monkeypatch, tmp_path, capsys):
+        out = tmp_path / "bw4.json"
+        out.write_text(to_json(baugh_wooley_multiplier(4)))
+        exhaustive = self._spy(monkeypatch, "verify_exhaustive")
+        randomised = self._spy(monkeypatch, "verify_random")
+        assert run(["verify", str(out)]) == 0
+        assert run(["verify", str(out), "--random", "50"]) == 0
+        assert exhaustive == randomised == [gc_state]
+        assert gc.isenabled() is gc_state
+
+    def test_usage_error_leaves_it(self, gc_state, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--width", "8"])
+        assert exc.value.code == 2
+        assert gc.isenabled() is gc_state
 
 
 class TestNumpyOffStartup:

@@ -1,6 +1,8 @@
 import itertools
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -211,6 +213,30 @@ class TestCarrySaveReduce:
         b = CircuitBuilder("csa")
         with pytest.raises(NetlistError):
             carry_save_reduce(b, [])
+
+    @pytest.mark.parametrize("weight, drop_above, message", [
+        (2.7, None, "row weight must be an int, got 2.7"),
+        ("1", None, "row weight must be an int, got '1'"),
+        (-1, None, "row weights must be non-negative"),
+        (0, 0, "drop_above must be >= 1, got 0"),
+        (0, -1, "drop_above must be >= 1, got -1"),
+        (0, 2.0, "drop_above must be an int, got 2.0"),
+    ])
+    def test_bad_arguments_rejected(self, weight, drop_above, message):
+        b = CircuitBuilder("csa")
+        xs = b.add_input("x", 3, U)
+        with pytest.raises(NetlistError, match=re.escape(message)):
+            carry_save_reduce(b, [(xs, weight), (xs, 0), (xs, 0)], drop_above=drop_above)
+        assert b.gate_count == 0
+
+    def test_integer_like_arguments_accepted(self):
+        # Anything with __index__ is an int here, as numpy integers are.
+        def reduce(weight, drop_above):
+            b = CircuitBuilder("csa")
+            xs = b.add_input("x", 3, U)
+            rows = carry_save_reduce(b, [(xs, weight), (xs, 0), (xs, 0)], drop_above)
+            return rows, b.gate_count
+        assert reduce(np.int64(2), np.int32(5)) == reduce(2, 5)
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())

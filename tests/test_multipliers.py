@@ -292,6 +292,36 @@ def test_generator_bytes_are_pinned():
     assert actual == GENERATOR_DIGESTS
 
 
+
+def _digest_specs_64():
+    """The 64-bit netlists that ``compare`` and the benchmark build, and
+    their siblings: bw, booth4 and the uu and su arrays, decomposed with
+    leaf 4 and 32 in all four sign pairs (all CSA), and bw and booth4 with
+    the ripple combiner."""
+    yield spec_for(Architecture.FLAT_BW, 64)
+    yield spec_for(Architecture.BOOTH_RADIX4, 64)
+    yield spec_for(Architecture.FLAT_UNSIGNED_ARRAY, 64, U, U)
+    yield spec_for(Architecture.FLAT_UNSIGNED_ARRAY, 64, S, U)
+    for leaf in (4, 32):
+        for sa in (S, U):
+            for sb in (S, U):
+                yield spec_for(Architecture.DECOMPOSED, 64, sa, sb, leaf)
+    yield spec_for(Architecture.FLAT_BW, 64, combiner=Combiner.RIPPLE_CASCADE)
+    yield spec_for(Architecture.BOOTH_RADIX4, 64, combiner=Combiner.RIPPLE_CASCADE)
+
+
+def test_64_bit_generator_bytes_are_pinned():
+    """As :func:`test_generator_bytes_are_pinned`, for :func:`_digest_specs_64`."""
+    actual = {}
+    for spec in _digest_specs_64():
+        c = generate(spec)
+        actual[_digest_key(spec)] = (
+            hashlib.sha256(to_json(c).encode()).hexdigest(),
+            hashlib.sha256(to_verilog(c).encode()).hexdigest(),
+        )
+    assert actual == GENERATOR_DIGESTS_64
+
+
 # (to_json, to_verilog) SHA-256 digests, keyed by
 # "<architecture> <width> <sign_a><sign_b> <combiner> <leaf_width>".
 GENERATOR_DIGESTS = {
@@ -431,4 +461,22 @@ GENERATOR_DIGESTS = {
     'Decomposed 16 uu RippleCascade 2': ('fb0dfa34e0b9e4a2132c9a8fe91c09737cf16da1f09e44b80678c9d1ca2e5aea', '2d962f83c25f8d2eb8a98f971c5e6c1797e0e5afefcf0d750e51ffadb43586f2'),
     'Decomposed 16 uu RippleCascade 4': ('1c042f81b6035373f0be239b17752ade343a072a40f627e452eb71ec20133b41', 'aad345e027420cc71f2d34fb33b55d930ac138b7fa9bede9e09c0b7d8c7aec10'),
     'Decomposed 16 uu RippleCascade 8': ('19c32f19bcc0c7720506d14c344f3a4d5180f18b345d9320241d4cace3552f27', '4aa0c778467509e042ef42408aefac9fb7ca47737a4dc6fdd1576cbae70d06a9'),
+}
+
+# As ``GENERATOR_DIGESTS``, for :func:`_digest_specs_64`.
+GENERATOR_DIGESTS_64 = {
+    'FlatBW 64 ss CsaTree None': ('e1e189879745f8e3df6e20894eae5258d69f9fa0c5e28cfcbe66c2b7e22d9fc0', 'f5145818914f437e379399f1a35e5e65930ff8efe35415870bc5cfd03ca28f6a'),
+    'BoothRadix4 64 ss CsaTree None': ('001881686a4215021ba2555787a531c23278f70b9c1b6636bfd33728328756eb', '0f3d90e1ef40617f8eb9ebcfecd778f65aaf757d17054cf43dc58997289c545a'),
+    'FlatUnsignedArray 64 uu CsaTree None': ('f72e7b48708fd862784961d9d9bc4d108bab8910b117e150a2acb5b19d84ce28', '35942ce7ffb7f46b98a9e3377747e8e575858cb8171b76c8a26d23b78f7e03b7'),
+    'FlatUnsignedArray 64 su CsaTree None': ('a743f3873b155a9a51ecbaa6b2e0ea5f8fa8967dc5c48cf026e468e415336146', '8580f2142c554fdcf5ea897cba636707632ea7fd4c5500767722498dbb956655'),
+    'Decomposed 64 ss CsaTree 4': ('41b0f91b637bb4b7c9a20fd0506630635f1ce58df1d86930e57580b90561a140', '6ff94b4c5cf62d943622367c0f34d41f02f00073cacfd71470cec01eab1dd5a9'),
+    'Decomposed 64 su CsaTree 4': ('79489266c43502a41b6fb1ac2aac6e839a3c27a01eb54afd47ed35574f65e28c', '99abb8ef7bba77f3cd3cbe63ac2d36edea11af2cd52a2279c21d8b2dd1bd52cd'),
+    'Decomposed 64 us CsaTree 4': ('04d24cd6d4620385907da887e210546406850767c4fd8ef3ce75016d8c0beb46', 'a354b82fba816159722d778d510f28a045e7fecba913ffcea964873bae33d01a'),
+    'Decomposed 64 uu CsaTree 4': ('7c4d31e955eccb325a3059c1366318bf1d48c993258567ef589e6826ad964971', '8b07bcadf46e81112e0742fdc1df15ba6b1b4438a4c3abb28415333140d17f48'),
+    'Decomposed 64 ss CsaTree 32': ('58a97bead51578c54b87a4554ba56db1fa58d55f9338b242f85960d466a7dbd1', '3b4fb892adbb5cff50578f0f2e7dde2e44f792f4c114c82af66d917fd43c5603'),
+    'Decomposed 64 su CsaTree 32': ('9e5fb935e75004b7f5d96c62a3e2b8e4a8384c1c6c1ce2820824e21e1338d625', '76f6dddb862310ea9a2076f05a4c24cc789339d2621df53acda0613068dc590e'),
+    'Decomposed 64 us CsaTree 32': ('3379bb0803582d50c855b21908fc94f1b0ffdab69502abce0bebfb982fc8de18', '98e23ae544b5da64724b1c4f9eb984525d17f43f7408d29276e52cf854448923'),
+    'Decomposed 64 uu CsaTree 32': ('7bd3f54af90bb2e73a1135548d69201678c2d9bb363e03a24d33b96814038de7', 'e504dfb633602ec2651df5c4d04bae4b5e2f406fe18371d65349cf745ef50801'),
+    'FlatBW 64 ss RippleCascade None': ('c628d5998c2f6a560d77c3b4302635aee5c784a36bbb74a40ab8728a05e23932', '53e86fa97df0967a5788ee20c0a5f086ebc1e259c85bf1047ba7d58b05ea6e2e'),
+    'BoothRadix4 64 ss RippleCascade None': ('4619db4849092c0aad6e2d3db122ca67a7582036adc95805bf522e068f87541a', '870a8eb8afb4fa31e5a062dfc62a4c5e8b1ccc87692320eeec2728da609f6ad8'),
 }

@@ -178,6 +178,49 @@ class TestGateKindIdentity:
         assert GateKind.AND2 in set(kinds) and GateKind.OR2 not in set(kinds)
 
 
+class TestGateTuple:
+    """``Gate`` is a named tuple; it keeps the repr, hash and immutability of
+    the frozen dataclass it replaced, and also equals its field tuple."""
+
+    def test_repr_text(self):
+        assert repr(Gate(GateKind.AND2, (0, 1), 2)) == (
+            "Gate(kind=<GateKind.AND2: 'AND2'>, inputs=(0, 1), output=2)"
+        )
+
+    def test_hash_and_equality_are_the_field_tuple(self):
+        g = Gate(kind=GateKind.XOR2, inputs=(0, 1), output=2)
+        assert g == Gate(GateKind.XOR2, (0, 1), 2)
+        assert hash(g) == hash((g.kind, g.inputs, g.output))
+        assert g == (GateKind.XOR2, (0, 1), 2)
+        kind, ins, out = g
+        assert (kind, ins, out) == (GateKind.XOR2, (0, 1), 2)
+
+    def test_fields_are_read_only(self):
+        g = Gate(GateKind.NOT, (0,), 1)
+        for field in ("kind", "inputs", "output"):
+            with pytest.raises(AttributeError):
+                setattr(g, field, getattr(g, field))
+        assert g == Gate(GateKind.NOT, (0,), 1)
+
+    def test_replace_and_dict_keys(self):
+        g = Gate(GateKind.AND2, (0, 1), 2)
+        h = g._replace(kind=GateKind.OR2)
+        assert h == Gate(GateKind.OR2, (0, 1), 2) and g.kind is GateKind.AND2
+        table = {g: "and", h: "or"}
+        assert table[Gate(GateKind.AND2, (0, 1), 2)] == "and"
+        assert table[Gate(GateKind.OR2, (0, 1), 2)] == "or"
+
+    def test_circuit_hash_and_json_round_trip(self):
+        from gatemul.emit import from_json, to_json
+        from gatemul.multipliers import booth_radix4_multiplier
+
+        c = booth_radix4_multiplier(8)
+        assert hash(c) == hash((c.name, c.inputs, c.outputs, c.gates, c.net_count))
+        loaded = from_json(to_json(c))
+        assert loaded == c and hash(loaded) == hash(c)
+        assert all(type(g) is Gate for g in loaded.gates)
+
+
 def _every_spec(n):
     from gatemul.multipliers import Architecture, Combiner, MultiplierSpec
 

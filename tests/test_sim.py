@@ -337,7 +337,7 @@ def _inverted_every(circuit: Circuit, step: int) -> Circuit:
     gates = list(circuit.gates)
     for gi in range(0, len(gates), step):
         if gates[gi].kind in inverse:
-            gates[gi] = dataclasses.replace(gates[gi], kind=inverse[gates[gi].kind])
+            gates[gi] = gates[gi]._replace(kind=inverse[gates[gi].kind])
     return dataclasses.replace(circuit, gates=tuple(gates))
 
 

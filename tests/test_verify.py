@@ -46,7 +46,7 @@ def flip_gate(circuit: Circuit, index: int) -> Circuit:
     g = circuit.gates[index]
     flipped = GateKind.NAND2 if g.kind is GateKind.AND2 else GateKind.AND2
     gates = list(circuit.gates)
-    gates[index] = dataclasses.replace(g, kind=flipped)
+    gates[index] = g._replace(kind=flipped)
     return dataclasses.replace(circuit, gates=tuple(gates))
 
 
@@ -334,7 +334,7 @@ def first_and_to_or(circuit: Circuit) -> Circuit:
     """The circuit with its first AND2 turned into an OR2 (the benchmark's mutant)."""
     gi = next(i for i, g in enumerate(circuit.gates) if g.kind is GateKind.AND2)
     gates = list(circuit.gates)
-    gates[gi] = dataclasses.replace(gates[gi], kind=GateKind.OR2)
+    gates[gi] = gates[gi]._replace(kind=GateKind.OR2)
     return dataclasses.replace(circuit, gates=tuple(gates))
 
 
