@@ -87,8 +87,9 @@ def full_adder(b: CircuitBuilder, a: NetId, x: NetId, cin: NetId) -> tuple[NetId
 
 def _add_bit3(b: CircuitBuilder, x: NetId, y: NetId, z: NetId) -> tuple[NetId, NetId]:
     """3:2 compress one column, folding any known-constant operands."""
-    # Most cells have no constant operand; the builder's fields are read
-    # directly, as method calls here cost more than the check.
+    # Most cells have no constant operand.  The builder's constant fields are
+    # read directly here and in carry_save_reduce (see CircuitBuilder.__init__),
+    # as method calls on this path cost more than the check.
     consts = (b._const0, b._const1)
     if x not in consts and y not in consts and z not in consts:
         return full_adder(b, x, y, z)
@@ -100,8 +101,6 @@ def _add_bit3(b: CircuitBuilder, x: NetId, y: NetId, z: NetId) -> tuple[NetId, N
         elif not b.is_const0(t):
             rest.append(t)
     if ones == 0:
-        if len(rest) == 3:
-            return full_adder(b, rest[0], rest[1], rest[2])
         if len(rest) == 2:
             return half_adder(b, rest[0], rest[1])
         if len(rest) == 1:

@@ -317,7 +317,9 @@ class CircuitBuilder:
         self._outputs: list[Port] = []
         self._gates: list[Gate] = []
         self._net_count = 0
-        # The shared constant nets, once allocated.
+        # The shared constant nets, once allocated (None before).  The adder
+        # cells in genlib read these two fields directly on their hot path,
+        # so a change to how constants are stored must update genlib too.
         self._const0: NetId | None = None
         self._const1: NetId | None = None
         self._done = False
