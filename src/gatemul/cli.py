@@ -1,8 +1,10 @@
 """Command-line front end: generate, verify, and compare multiplier netlists.
 
 Exit codes are a stable scripting contract: 0 success, 1 verification
-failure, 2 usage or input error.  A reader that closes stdout early (as
-``| head`` does) changes neither: the rest of the output is dropped.
+failure, 2 usage or input error.  Commands raise on an input they refuse,
+and :func:`main` is the one place that maps a refusal to exit 2.  A reader
+that closes stdout early (as ``| head`` does) changes neither: the rest of
+the output is dropped.
 """
 
 from __future__ import annotations
@@ -77,28 +79,21 @@ def _print(text: str, end: str = "\n") -> None:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        spec = _make_spec(
-            args.arch, args.width, args.leaf, args.combiner, args.sign_a, args.sign_b
-        )
-        circuit = generate(spec)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = _make_spec(
+        args.arch, args.width, args.leaf, args.combiner, args.sign_a, args.sign_b
+    )
+    circuit = generate(spec)
     out = Path(args.out)
     if out.suffix == ".json":
         text = to_json(circuit)
     elif out.suffix == ".v":
         text = to_verilog(circuit)
     else:
-        print(f"error: output file must end in .json or .v, got {out.name!r}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"output file must end in .json or .v, got {out.name!r}")
     try:
         out.write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot write {out}: {exc}") from exc
     _print(
         f"{circuit.name}: {len(circuit.gates)} gates, "
         f"unit-delay depth {depth(circuit)}, wrote {out}"
@@ -126,14 +121,9 @@ class _Operands(NamedTuple):
 
 
 def _cmd_verify(args) -> int:
-    try:
-        circuit = _load_circuit(args.file)
-    except JsonFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    circuit = _load_circuit(args.file)
     if len(circuit.inputs) != 2 or len(circuit.outputs) != 1:
-        print("error: expected a 2-input, 1-output multiplier netlist", file=sys.stderr)
-        return 2
+        raise ValueError("expected a 2-input, 1-output multiplier netlist")
     pa, pb = circuit.inputs
     sign_a = _SIGN_TOKENS[args.sign_a] if args.sign_a else pa.signedness
     sign_b = _SIGN_TOKENS[args.sign_b] if args.sign_b else pb.signedness
@@ -141,15 +131,11 @@ def _cmd_verify(args) -> int:
         circuit = _with_signedness(
             circuit, (sign_a, sign_b), (_product_sign(sign_a, sign_b),)
         )
-    try:
-        spec = _Operands(pa.width, pb.width, sign_a, sign_b)
-        if args.random is not None:
-            report = verify_random(circuit, spec, count=args.random, seed=args.seed)
-        else:
-            report = verify_exhaustive(circuit, spec)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = _Operands(pa.width, pb.width, sign_a, sign_b)
+    if args.random is not None:
+        report = verify_random(circuit, spec, count=args.random, seed=args.seed)
+    else:
+        report = verify_exhaustive(circuit, spec)
     if args.format == "json":
         _print(report.to_json(), end="")
     else:
@@ -159,25 +145,19 @@ def _cmd_verify(args) -> int:
 
 def _cmd_compare(args) -> int:
     if len(args.archs) < 2:
-        print("error: compare needs at least two architecture tokens", file=sys.stderr)
-        return 2
-    try:
-        entries = []
-        for token in args.archs:
-            name, _, leaf_text = token.partition(":")
-            if name not in _ARCH_TOKENS:
-                raise ValueError(f"unknown architecture token {token!r}")
-            try:
-                leaf = int(leaf_text) if leaf_text else None
-            except ValueError:
-                raise ValueError(f"invalid leaf in {token!r}") from None
-            spec = _make_spec(name, args.width, leaf, args.combiner)
-            entries.append((token, generate(spec)))
-        model = DelayModel.by_name(args.model)
-        table = compare(entries, model)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("compare needs at least two architecture tokens")
+    entries = []
+    for token in args.archs:
+        name, _, leaf_text = token.partition(":")
+        if name not in _ARCH_TOKENS:
+            raise ValueError(f"unknown architecture token {token!r}")
+        try:
+            leaf = int(leaf_text) if leaf_text else None
+        except ValueError:
+            raise ValueError(f"invalid leaf in {token!r}") from None
+        spec = _make_spec(name, args.width, leaf, args.combiner)
+        entries.append((token, generate(spec)))
+    table = compare(entries, DelayModel.by_name(args.model))
     if args.format == "csv":
         _print(table.to_csv(), end="")
     else:
@@ -237,22 +217,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; return its exit code.  ``gen`` and ``compare`` pause
-    the cyclic GC, which frees none of their acyclic gates; ``verify`` does
-    not, as a pause there keeps numpy's import garbage and raises peak RSS."""
+    """Run one command; return its exit code.
+
+    The one place that maps a refused input to exit 2: a ``ValueError``
+    from a command, or an ``OverflowError``/``MemoryError`` from a size too
+    large to build or verify.  Other exceptions are bugs and keep their
+    traceback.  ``gen`` and ``compare`` pause the cyclic GC, which frees
+    none of their acyclic gates; ``verify`` does not, as a pause there
+    keeps numpy's import garbage and raises peak RSS."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit:
         # argparse has printed --help (or a usage error) and exits here.
         _print("", end="")
         raise
-    if args.command not in ("gen", "compare") or not gc.isenabled():
-        return args.func(args)
-    gc.disable()
     try:
-        return args.func(args)
-    finally:
-        gc.enable()
+        if args.command not in ("gen", "compare") or not gc.isenabled():
+            return args.func(args)
+        gc.disable()
+        try:
+            return args.func(args)
+        finally:
+            gc.enable()
+    except (ValueError, OverflowError, MemoryError) as exc:
+        # A list of 2**62 nets fails at once with a MemoryError and no text.
+        reason = str(exc)
+        if not reason and isinstance(exc, MemoryError):
+            reason = "out of memory"
+        print(f"error: {reason}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

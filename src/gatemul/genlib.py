@@ -4,6 +4,8 @@
 depth and area stay deterministic.  The composite builders below fold
 constants instead of emitting degenerate adder cells, which keeps gate
 censuses honest when correction constants or zero padding flow through.
+A net is tested for a constant by comparing it with the builder's
+``_const0``/``_const1`` fields (see ``CircuitBuilder.__init__``).
 """
 
 from __future__ import annotations
@@ -19,51 +21,51 @@ Row = tuple[Sequence[NetId], int]
 
 
 def not_(b: CircuitBuilder, x: NetId) -> NetId:
-    if b.is_const0(x):
+    if x == b._const0:
         return b.const1()
-    if b.is_const1(x):
+    if x == b._const1:
         return b.const0()
     return b.add_gate(GateKind.NOT, (x,))
 
 
 def and2(b: CircuitBuilder, x: NetId, y: NetId) -> NetId:
-    if b.is_const0(x) or b.is_const0(y):
+    if x == b._const0 or y == b._const0:
         return b.const0()
-    if b.is_const1(x):
+    if x == b._const1:
         return y
-    if b.is_const1(y):
+    if y == b._const1:
         return x
     return b.add_gate(GateKind.AND2, (x, y))
 
 
 def nand2(b: CircuitBuilder, x: NetId, y: NetId) -> NetId:
-    if b.is_const0(x) or b.is_const0(y):
+    if x == b._const0 or y == b._const0:
         return b.const1()
-    if b.is_const1(x):
+    if x == b._const1:
         return not_(b, y)
-    if b.is_const1(y):
+    if y == b._const1:
         return not_(b, x)
     return b.add_gate(GateKind.NAND2, (x, y))
 
 
 def or2(b: CircuitBuilder, x: NetId, y: NetId) -> NetId:
-    if b.is_const1(x) or b.is_const1(y):
+    if x == b._const1 or y == b._const1:
         return b.const1()
-    if b.is_const0(x):
+    if x == b._const0:
         return y
-    if b.is_const0(y):
+    if y == b._const0:
         return x
     return b.add_gate(GateKind.OR2, (x, y))
 
 
 def xor2(b: CircuitBuilder, x: NetId, y: NetId) -> NetId:
-    if b.is_const0(x):
+    if x == b._const0:
         return y
-    if b.is_const0(y):
+    if y == b._const0:
         return x
-    if b.is_const1(x):
+    if x == b._const1:
         return not_(b, y)
-    if b.is_const1(y):
+    if y == b._const1:
         return not_(b, x)
     return b.add_gate(GateKind.XOR2, (x, y))
 
@@ -87,18 +89,16 @@ def full_adder(b: CircuitBuilder, a: NetId, x: NetId, cin: NetId) -> tuple[NetId
 
 def _add_bit3(b: CircuitBuilder, x: NetId, y: NetId, z: NetId) -> tuple[NetId, NetId]:
     """3:2 compress one column, folding any known-constant operands."""
-    # Most cells have no constant operand.  The builder's constant fields are
-    # read directly here and in carry_save_reduce (see CircuitBuilder.__init__),
-    # as method calls on this path cost more than the check.
+    # Most cells have no constant operand.
     consts = (b._const0, b._const1)
     if x not in consts and y not in consts and z not in consts:
         return full_adder(b, x, y, z)
     ones = 0
     rest: list[NetId] = []
     for t in (x, y, z):
-        if b.is_const1(t):
+        if t == b._const1:
             ones += 1
-        elif not b.is_const0(t):
+        elif t != b._const0:
             rest.append(t)
     if ones == 0:
         if len(rest) == 2:

@@ -317,9 +317,9 @@ class CircuitBuilder:
         self._outputs: list[Port] = []
         self._gates: list[Gate] = []
         self._net_count = 0
-        # The shared constant nets, once allocated (None before).  The adder
-        # cells in genlib read these two fields directly on their hot path,
-        # so a change to how constants are stored must update genlib too.
+        # The shared constant nets, once allocated (None before).  genlib
+        # reads these two fields directly wherever it tests for a constant
+        # net, so a change to how constants are stored must update genlib too.
         self._const0: NetId | None = None
         self._const1: NetId | None = None
         self._done = False
@@ -398,12 +398,6 @@ class CircuitBuilder:
         if self._const1 is None:
             self._const1 = self.add_gate(GateKind.CONST1, ())
         return self._const1
-
-    def is_const0(self, net: NetId) -> bool:
-        return self._const0 == net
-
-    def is_const1(self, net: NetId) -> bool:
-        return self._const1 == net
 
     def finalize(self) -> Circuit:
         """Freeze the circuit; its analysis is the gate order plus one

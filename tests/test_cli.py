@@ -375,6 +375,64 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+class TestRefusals:
+    """Every refused input exits 2 with one ``error:`` line on stderr."""
+
+    @pytest.fixture
+    def netlists(self, tmp_path):
+        for width in (4, 8, 16):
+            text = to_json(baugh_wooley_multiplier(width))
+            (tmp_path / f"bw{width}.json").write_text(text)
+        b = CircuitBuilder("inv")
+        (a,) = b.add_input("A", 1, Signedness.UNSIGNED)
+        b.add_output("Y", [b.add_gate(GateKind.NOT, (a,))], Signedness.UNSIGNED)
+        (tmp_path / "one_in.json").write_text(to_json(b.finalize()))
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, err", [
+        (["gen", "--arch", "decomposed", "--width", "8", "--leaf", "3",
+          "--out", "{dir}/x.json"],
+         "error: leaf_width must divide the width\n"),
+        (["gen", "--arch", "bw", "--width", "4", "--out", "{dir}/x.vhdl"],
+         "error: output file must end in .json or .v, got 'x.vhdl'\n"),
+        (["gen", "--arch", "bw", "--width", "4", "--out", "{dir}/missing/x.json"],
+         "error: cannot write {dir}/missing/x.json: [Errno 2] No such file or "
+         "directory: '{dir}/missing/x.json'\n"),
+        (["verify", "{dir}/nope.json"],
+         "error: cannot read {dir}/nope.json: [Errno 2] No such file or "
+         "directory: '{dir}/nope.json'\n"),
+        (["verify", "{dir}/one_in.json"],
+         "error: expected a 2-input, 1-output multiplier netlist\n"),
+        (["verify", "{dir}/bw16.json", "--exhaustive"],
+         "error: width 16 exceeds the exhaustive cap (8); use verify_random\n"),
+        (["verify", "{dir}/bw4.json", "--random", "0"],
+         "error: count must be >= 1\n"),
+        (["compare", "--width", "8", "bw"],
+         "error: compare needs at least two architecture tokens\n"),
+        (["compare", "--width", "8", "bw", "wallace"],
+         "error: unknown architecture token 'wallace'\n"),
+    ], ids=["spec", "suffix", "unwritable_out", "unreadable_file", "not_2_in_1_out",
+            "exhaustive_cap", "random_0", "single_token", "unknown_token"])
+    def test_error_text_is_pinned(self, netlists, capsys, argv, err):
+        assert run([a.format(dir=netlists) for a in argv]) == 2
+        assert capsys.readouterr() == ("", err.format(dir=netlists))
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--arch", "bw", "--width", str(2**62), "--out", "{dir}/x.json"],
+        ["compare", "--width", str(10**20), "bw", "booth4"],
+        ["verify", "{dir}/bw8.json", "--random", str(2**59)],
+    ], ids=["gen_width_2**62", "compare_width_10**20", "verify_random_2**59"])
+    def test_size_too_large_exits_2_without_traceback(self, netlists, argv):
+        # Each fails at once: a list of 2**62 nets (MemoryError), a width
+        # past ssize_t (OverflowError), a 4 EiB vector array (numpy's
+        # MemoryError subclass).
+        proc = _run_cli([a.format(dir=netlists) for a in argv])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+
 class TestCollectorState:
     """main pauses the cyclic collector while gen and compare run and
     leaves it as it found it; verify runs with it untouched."""
@@ -418,6 +476,22 @@ class TestCollectorState:
         assert run(["verify", str(out)]) == 0
         assert run(["verify", str(out), "--random", "50"]) == 0
         assert exhaustive == randomised == [gc_state]
+        assert gc.isenabled() is gc_state
+
+    def test_bare_memory_error_exits_2_and_restores_it(
+        self, gc_state, monkeypatch, tmp_path, capsys
+    ):
+        seen = []
+
+        def exhausted(spec):
+            seen.append(gc.isenabled())
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "generate", exhausted)
+        argv = ["gen", "--arch", "bw", "--width", "8", "--out", str(tmp_path / "bw8.json")]
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", "error: out of memory\n")
+        assert seen == [False]
         assert gc.isenabled() is gc_state
 
     def test_usage_error_leaves_it(self, gc_state, capsys):
