@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+from operator import itemgetter
 
 from .netlist import (
     Circuit,
@@ -84,8 +85,12 @@ def to_verilog(circuit: Circuit) -> str:
     for p in circuit.inputs:
         for i, net in enumerate(p.bits):
             ref[net] = port_name[p] if p.width == 1 else f"{port_name[p]}[{i}]"
-    for g in circuit.gates:
-        ref[g.output] = f"n{g.output}"
+    # Gate fields are read by position (g[0] kind, g[1] inputs, g[2]
+    # output): CPython specializes neither a NamedTuple's field reads nor
+    # its unpacking.
+    gates = circuit.gates
+    wires = [f"n{g[2]}" for g in gates]
+    ref.update(zip(map(itemgetter(2), gates), wires))
 
     lines = [f"module {module} ({', '.join(port_name[p] for p in (*circuit.inputs, *circuit.outputs))});"]
     for p in circuit.inputs:
@@ -94,11 +99,10 @@ def to_verilog(circuit: Circuit) -> str:
     for p in circuit.outputs:
         rng = "" if p.width == 1 else f"[{p.width - 1}:0] "
         lines.append(f"  output {rng}{port_name[p]};")
-    for g in circuit.gates:
-        lines.append(f"  wire n{g.output};")
-    for kind, ins, out in circuit.gates:
-        expr = _GATE_EXPR[kind]([ref[i] for i in ins])
-        lines.append(f"  assign n{out} = {expr};")
+    lines += [f"  wire {w};" for w in wires]
+    for w, g in zip(wires, gates):
+        expr = _GATE_EXPR[g[0]]([ref[i] for i in g[1]])
+        lines.append(f"  assign {w} = {expr};")
     for p in circuit.outputs:
         for i, net in enumerate(p.bits):
             target = port_name[p] if p.width == 1 else f"{port_name[p]}[{i}]"

@@ -1,7 +1,9 @@
 """Reusable arithmetic blocks: half/full adders, ripple carry, carry-save trees.
 
-``half_adder`` and ``full_adder`` are fixed-shape macros (2 and 5 gates) so
-depth and area stay deterministic.  The composite builders below fold
+``half_adder`` and ``full_adder`` are fixed-shape cells (2 and 5 gates) so
+depth and area stay deterministic.  Each cell is a recipe, ``_HALF_ADDER`` or
+``_FULL_ADDER``, appended through the builder in one checked call
+(``CircuitBuilder._add_cell``).  The composite builders below fold
 constants instead of emitting degenerate adder cells, which keeps gate
 censuses honest when correction constants or zero padding flow through.
 A net is tested for a constant by comparing it with the builder's
@@ -11,7 +13,6 @@ A net is tested for a constant by comparing it with the builder's
 from __future__ import annotations
 
 import operator
-from collections import defaultdict
 from typing import Sequence
 
 from .netlist import CircuitBuilder, GateKind, NetId, NetlistError
@@ -38,26 +39,6 @@ def and2(b: CircuitBuilder, x: NetId, y: NetId) -> NetId:
     return b.add_gate(GateKind.AND2, (x, y))
 
 
-def nand2(b: CircuitBuilder, x: NetId, y: NetId) -> NetId:
-    if x == b._const0 or y == b._const0:
-        return b.const1()
-    if x == b._const1:
-        return not_(b, y)
-    if y == b._const1:
-        return not_(b, x)
-    return b.add_gate(GateKind.NAND2, (x, y))
-
-
-def or2(b: CircuitBuilder, x: NetId, y: NetId) -> NetId:
-    if x == b._const1 or y == b._const1:
-        return b.const1()
-    if x == b._const0:
-        return y
-    if y == b._const0:
-        return x
-    return b.add_gate(GateKind.OR2, (x, y))
-
-
 def xor2(b: CircuitBuilder, x: NetId, y: NetId) -> NetId:
     if x == b._const0:
         return y
@@ -70,21 +51,31 @@ def xor2(b: CircuitBuilder, x: NetId, y: NetId) -> NetId:
     return b.add_gate(GateKind.XOR2, (x, y))
 
 
+# Adder recipes for ``CircuitBuilder._add_cell``: ``(kind, i, j)`` reads
+# entries i and j of [*inputs, <outputs of the cell's earlier gates>].
+# Half adder over (a, x): s = XOR(a, x), c = AND(a, x).
+_HALF_ADDER = ((GateKind.XOR2, 0, 1), (GateKind.AND2, 0, 1))
+# Full adder over (a, x, cin): s1 = XOR(a, x), s = XOR(s1, cin),
+# c1 = AND(a, x), c2 = AND(cin, s1), carry = OR(c1, c2).
+_FULL_ADDER = (
+    (GateKind.XOR2, 0, 1),
+    (GateKind.XOR2, 3, 2),
+    (GateKind.AND2, 0, 1),
+    (GateKind.AND2, 2, 3),
+    (GateKind.OR2, 5, 6),
+)
+
+
 def half_adder(b: CircuitBuilder, a: NetId, x: NetId) -> tuple[NetId, NetId]:
     """sum = a^x, carry = a&x.  Always adds exactly 2 gates."""
-    s = b.add_gate(GateKind.XOR2, (a, x))
-    c = b.add_gate(GateKind.AND2, (a, x))
+    _, _, s, c = b._add_cell((a, x), _HALF_ADDER)
     return s, c
 
 
 def full_adder(b: CircuitBuilder, a: NetId, x: NetId, cin: NetId) -> tuple[NetId, NetId]:
     """sum = a^x^cin, carry = (a&x) | (cin & (a^x)).  Always adds 5 gates."""
-    s1 = b.add_gate(GateKind.XOR2, (a, x))
-    s = b.add_gate(GateKind.XOR2, (s1, cin))
-    c1 = b.add_gate(GateKind.AND2, (a, x))
-    c2 = b.add_gate(GateKind.AND2, (cin, s1))
-    carry = b.add_gate(GateKind.OR2, (c1, c2))
-    return s, carry
+    nets = b._add_cell((a, x, cin), _FULL_ADDER)
+    return nets[4], nets[7]
 
 
 def _add_bit3(b: CircuitBuilder, x: NetId, y: NetId, z: NetId) -> tuple[NetId, NetId]:
@@ -209,7 +200,7 @@ def carry_save_reduce(
 
     # Dots in columns from ``top`` up and CONST0 dots are never placed.  A cell
     # may allocate CONST0, so it is read from the builder after each cell.
-    cols: dict[int, list[NetId]] = defaultdict(list)
+    cols: list[list[NetId]] = []
     zero = b._const0
     for bits, w in rows:
         w = _as_int(w, "row weight")
@@ -219,31 +210,44 @@ def carry_save_reduce(
             raise NetlistError("row weights must be non-negative")
         for c, net in enumerate(bits, w):
             if c < top and net != zero:
+                if c >= len(cols):
+                    cols += [[] for _ in range(c + 1 - len(cols))]
                 cols[c].append(net)
 
-    while any(len(dots) > 2 for dots in cols.values()):
-        nxt: dict[int, list[NetId]] = defaultdict(list)
-        for c in sorted(cols):
+    # A pass changes only the columns holding three dots or more and the
+    # column above each, which takes its carries; the next pass's busy
+    # columns are among those.  A changed column holds the carries from the
+    # column below, then its sums in cell order, then its leftover dots.
+    busy = [c for c, dots in enumerate(cols) if len(dots) > 2]
+    while busy:
+        visit = sorted({*busy, *(c + 1 for c in busy if c + 1 < top)})
+        carries: list[NetId] = []
+        for c in visit:
+            if c == len(cols):
+                if not carries:
+                    break
+                cols.append([])
             dots = cols[c]
+            col, carries = carries, []
             full = len(dots) // 3 * 3
             for i in range(0, full, 3):
                 if c + 1 < top:
                     s, carry = _add_bit3(b, dots[i], dots[i + 1], dots[i + 2])
                     if carry != b._const0:
-                        nxt[c + 1].append(carry)
+                        carries.append(carry)
                 else:
                     s = _sum_bit3(b, dots[i], dots[i + 1], dots[i + 2])
                 if s != b._const0:
-                    nxt[c].append(s)
-            if full < len(dots):
-                nxt[c] += dots[full:]
-        cols = nxt
+                    col.append(s)
+            col += dots[full:]
+            cols[c] = col
+        busy = [c for c in visit if c < len(cols) and len(cols[c]) > 2]
 
-    width = top if drop_above is not None else (max(cols) + 1 if cols else 1)
+    width = top if drop_above is not None else max(len(cols), 1)
     row_a: list[NetId] = []
     row_b: list[NetId] = []
     for c in range(width):
-        dots = cols.get(c, [])
+        dots = cols[c] if c < len(cols) else ()
         row_a.append(dots[0] if len(dots) > 0 else b.const0())
         row_b.append(dots[1] if len(dots) > 1 else b.const0())
     return row_a, row_b

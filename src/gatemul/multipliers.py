@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import genlib
-from .netlist import Circuit, CircuitBuilder, NetId, Signedness
+from .netlist import Circuit, CircuitBuilder, GateKind, NetId, Signedness
 
 S = Signedness.SIGNED
 U = Signedness.UNSIGNED
@@ -148,15 +148,17 @@ def _array_rows(
     b_msb = n - 1 if sign_b is S else -1
     rows: list[genlib.Row] = []
     correction = 0
+    # Row i is one cell over [a_i, *B].  Its operands are input-port bits,
+    # never constants, so no gate of it could be folded away.
     for i in range(n):
-        bits = []
+        recipe = []
         for j in range(n):
             if (i == a_msb) != (j == b_msb):
-                bits.append(genlib.nand2(b, abits[i], bbits[j]))
+                recipe.append((GateKind.NAND2, 0, j + 1))
                 correction -= 1 << (i + j)
             else:
-                bits.append(genlib.and2(b, abits[i], bbits[j]))
-        rows.append((bits, i))
+                recipe.append((GateKind.AND2, 0, j + 1))
+        rows.append((b._add_cell([abits[i], *bbits], recipe)[n + 1:], i))
     return rows + _constant_rows(b, correction, 2 * n)
 
 
@@ -208,6 +210,16 @@ def _booth_rows(
     constant by :func:`_fold_sign`, as in the decomposition combiner."""
     n = len(abits)
     bx = list(bbits) + [bbits[-1]]  # B sign-extended one bit for the 2B shift
+    # Each row is one cell over [one, two, neg, *bx] (entries 0, 1, 2 and
+    # 3 + i): bit i is ((one & bx[i]) | (two & bx[i-1])) ^ neg, and bit 0,
+    # which has no bx[-1] term, is (one & bx[0]) ^ neg.  Bit i's XOR is
+    # entry n + 5 + 4i.  The operands are input bits and gate outputs, never
+    # constants, so that missing term is the only gate folded away.
+    recipe = [(GateKind.AND2, 0, 3), (GateKind.XOR2, n + 4, 2)]
+    for i in range(1, n + 1):
+        k = n + 2 + 4 * i  # entry of bit i's first gate
+        recipe += [(GateKind.AND2, 0, 3 + i), (GateKind.AND2, 1, 2 + i),
+                   (GateKind.OR2, k, k + 1), (GateKind.XOR2, k + 2, 2)]
     rows: list[genlib.Row] = []
     correction = 0
     for g in range(n // 2):
@@ -217,13 +229,7 @@ def _booth_rows(
         one = genlib.xor2(b, mid, low)
         two = genlib.and2(b, genlib.xor2(b, high, mid), genlib.not_(b, one))
         neg = high
-        pp: list[NetId] = []
-        for i in range(n + 1):
-            below = bx[i - 1] if i > 0 else b.const0()
-            sel = genlib.or2(
-                b, genlib.and2(b, one, bx[i]), genlib.and2(b, two, below)
-            )
-            pp.append(genlib.xor2(b, sel, neg))
+        pp = b._add_cell([one, two, neg, *bx], recipe)[n + 5::4]
         # Row MSB sits at column 2g+n < 2n-1 for even n, so every row has
         # replicated sign columns to fold.
         row, fix = _fold_sign(b, pp, 2 * g)

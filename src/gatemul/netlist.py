@@ -304,9 +304,12 @@ class CircuitBuilder:
     Net ids are dense and allocated in construction order; gates may only
     reference nets that already exist, so the finished gate list is a valid
     evaluation order.  Each call checks its arguments (arity, net ids that
-    are allocated ints, port names and widths) and every gate drives a
-    fresh net, so ``finalize`` records the analysis without a census and
-    returns an immutable circuit; the builder must not be used afterwards.
+    are allocated ints, port names, int widths and ``Signedness`` members)
+    and every gate drives a fresh net.  A group of gates appended in one
+    call (``_add_cell``) checks its inputs the same way, and every other net
+    it reads is one the call allocated.  So ``finalize`` records the
+    analysis without a census and returns an immutable circuit; the builder
+    must not be used afterwards.
     """
 
     def __init__(self, name: str):
@@ -336,11 +339,20 @@ class CircuitBuilder:
         if self._done:
             raise NetlistError("builder already finalized")
 
-    def add_input(self, name: str, width: int, signedness: Signedness) -> list[NetId]:
-        """Allocate ``width`` fresh nets for a new input port, LSB first."""
+    def _check_port(self, name: str, signedness: Signedness) -> None:
         self._check_open()
         if not name or not _IDENT_RE.match(name):
             raise NetlistError(f"port name must be an identifier, got {name!r}")
+        if not isinstance(signedness, Signedness):
+            raise NetlistError(
+                f"port {name!r} signedness must be a Signedness, got {signedness!r}"
+            )
+
+    def add_input(self, name: str, width: int, signedness: Signedness) -> list[NetId]:
+        """Allocate ``width`` fresh nets for a new input port, LSB first."""
+        self._check_port(name, signedness)
+        if type(width) is not int:
+            raise NetlistError(f"port {name!r} width must be an int, got {width!r}")
         if width < 1:
             raise NetlistError(f"port {name!r} must have width >= 1")
         if any(p.name == name for p in self._inputs):
@@ -352,9 +364,7 @@ class CircuitBuilder:
 
     def add_output(self, name: str, bits: Sequence[NetId], signedness: Signedness) -> None:
         """Declare an output port over existing nets, LSB first."""
-        self._check_open()
-        if not name or not _IDENT_RE.match(name):
-            raise NetlistError(f"port name must be an identifier, got {name!r}")
+        self._check_port(name, signedness)
         if not bits:
             raise NetlistError(f"output port {name!r} must have width >= 1")
         if any(p.name == name for p in self._outputs):
@@ -386,6 +396,38 @@ class CircuitBuilder:
         self._net_count = out + 1
         self._gates.append(tuple.__new__(Gate, (kind, ins, out)))
         return out
+
+    def _add_cell(
+        self, inputs: Sequence[NetId], recipe: Sequence[tuple[GateKind, int, int]]
+    ) -> list[NetId]:
+        """Append a fixed group of two-input gates; returns ``[*inputs,
+        *outputs]``.  Recipe entry ``(kind, i, j)`` is a gate over entries
+        ``i`` and ``j`` of that list as it stands when the gate is added.
+
+        Checks ``inputs`` as :meth:`add_gate` does, and the recipe's kinds,
+        before anything is appended; every other net a gate reads is an
+        output of an earlier gate of the group.
+        """
+        if self._done:
+            raise NetlistError("builder already finalized")
+        out = self._net_count
+        for net in inputs:
+            if type(net) is not int:
+                raise NetlistError(f"gate input net id {net!r} is not an int")
+            if not 0 <= net < out:
+                raise NetlistError(f"gate references unallocated net {net}")
+        nets = list(inputs)
+        cell = []
+        new = tuple.__new__
+        for kind, i, j in recipe:
+            if kind.arity != 2:
+                raise NetlistError(f"{kind.value} takes {kind.arity} inputs, got 2")
+            cell.append(new(Gate, (kind, (nets[i], nets[j]), out)))
+            nets.append(out)
+            out += 1
+        self._gates += cell
+        self._net_count = out
+        return nets
 
     def const0(self) -> NetId:
         """Net holding constant 0 (one shared CONST0 gate per builder)."""

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
 from math import lcm
+from operator import itemgetter
 from typing import Mapping, Sequence
 import csv
 
@@ -139,19 +140,22 @@ def critical_path(circuit: Circuit, model: DelayModel) -> TimingReport:
     end = min(net for p in circuit.outputs for net in p.bits if ticks[net] == best)
 
     # A net's driver comes before every gate that reads it, so walking the
-    # schedule backwards meets each driver on the path in turn.
+    # schedule backwards meets each driver on the path in turn.  Fields are
+    # read by position (g[1] inputs, g[2] output): CPython does not
+    # specialize a NamedTuple's field reads.
     gates = circuit.gates
     path: list[Gate] = []
     net = end
     for gi in reversed(schedule):
         g = gates[gi]
-        if g.output != net:
+        if g[2] != net:
             continue
         path.append(g)
-        if not g.inputs:
+        ins = g[1]
+        if not ins:
             break
-        peak = max(ticks[i] for i in g.inputs)
-        net = min(i for i in g.inputs if ticks[i] == peak)
+        peak = max(ticks[i] for i in ins)
+        net = min(i for i in ins if ticks[i] == peak)
     path.reverse()
     return TimingReport(model.name, Fraction(best, model._scale), tuple(path))
 
@@ -164,7 +168,7 @@ class AreaReport:
 
 def area_report(circuit: Circuit) -> AreaReport:
     """Exact gate census by kind."""
-    counts = Counter(g.kind for g in circuit.gates)
+    counts = Counter(map(itemgetter(0), circuit.gates))  # each gate's kind
     return AreaReport(counts=dict(counts), total_gates=len(circuit.gates))
 
 

@@ -2,18 +2,26 @@
 
 Nothing here shares algorithms with the package: timing is checked by
 literally enumerating every input-to-output path, and simulation by a
-demand-driven evaluator that pulls values backwards through the DAG.
+demand-driven evaluator that pulls values backwards through the DAG.  The
+one exception is :func:`carry_save_reduce`, a verbatim copy of the
+library's earlier reducer, which visited every column on every pass; it is
+the reference the faster reducer must match gate for gate.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from fractions import Fraction
+from typing import Sequence
 
+from gatemul.genlib import Row, _add_bit3, _as_int, _sum_bit3
 from gatemul.netlist import (
     Circuit,
     CircuitBuilder,
     GateKind,
+    NetId,
+    NetlistError,
     Signedness,
 )
 from gatemul.sim import encode
@@ -142,3 +150,70 @@ def random_assignment(rng: random.Random, circuit: Circuit) -> dict[str, int]:
             lo, hi = 0, (1 << port.width) - 1
         out[port.name] = rng.randint(lo, hi)
     return out
+
+
+def carry_save_reduce(
+    b: CircuitBuilder,
+    rows: Sequence[Row],
+    drop_above: int | None = None,
+) -> tuple[list[NetId], list[NetId]]:
+    """Compress any number of weighted rows to two rows whose sum equals
+    the weighted row total.
+
+    Greedy per-column 3:2 compression, columns taken in ascending order
+    within each pass, until every column holds at most two dots.  The two
+    returned rows are aligned at column 0 and have equal length; one final
+    ripple addition of the pair yields the total.  A column that already
+    holds two dots or fewer gets no adder cell.
+
+    ``drop_above`` discards columns at or above the given index, i.e. the
+    preserved total is modulo 2**drop_above, and both rows then have
+    exactly ``drop_above`` columns.  Non-int or negative weights and a
+    ``drop_above`` that is not an int >= 1 raise :class:`NetlistError`.
+    """
+    if not rows:
+        raise NetlistError("carry_save_reduce needs at least one row")
+    top = float("inf") if drop_above is None else _as_int(drop_above, "drop_above")
+    if top < 1:
+        raise NetlistError(f"drop_above must be >= 1, got {top}")
+
+    # Dots in columns from ``top`` up and CONST0 dots are never placed.  A cell
+    # may allocate CONST0, so it is read from the builder after each cell.
+    cols: dict[int, list[NetId]] = defaultdict(list)
+    zero = b._const0
+    for bits, w in rows:
+        w = _as_int(w, "row weight")
+        if not bits:
+            raise NetlistError("carry_save_reduce rows must be non-empty")
+        if w < 0:
+            raise NetlistError("row weights must be non-negative")
+        for c, net in enumerate(bits, w):
+            if c < top and net != zero:
+                cols[c].append(net)
+
+    while any(len(dots) > 2 for dots in cols.values()):
+        nxt: dict[int, list[NetId]] = defaultdict(list)
+        for c in sorted(cols):
+            dots = cols[c]
+            full = len(dots) // 3 * 3
+            for i in range(0, full, 3):
+                if c + 1 < top:
+                    s, carry = _add_bit3(b, dots[i], dots[i + 1], dots[i + 2])
+                    if carry != b._const0:
+                        nxt[c + 1].append(carry)
+                else:
+                    s = _sum_bit3(b, dots[i], dots[i + 1], dots[i + 2])
+                if s != b._const0:
+                    nxt[c].append(s)
+            if full < len(dots):
+                nxt[c] += dots[full:]
+        cols = nxt
+
+    width = top if drop_above is not None else (max(cols) + 1 if cols else 1)
+    row_a: list[NetId] = []
+    row_b: list[NetId] = []
+    for c in range(width):
+        dots = cols.get(c, [])
+        row_a.append(dots[0] if len(dots) > 0 else b.const0())
+        row_b.append(dots[1] if len(dots) > 1 else b.const0())
+    return row_a, row_b

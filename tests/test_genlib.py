@@ -13,10 +13,11 @@ from gatemul.genlib import (
     ripple_carry_adder,
     ripple_carry_adder_mod,
 )
-from gatemul.netlist import CircuitBuilder, NetlistError, Signedness
+from gatemul.netlist import CircuitBuilder, GateKind, NetlistError, Signedness
 from gatemul.sim import evaluate, evaluate_batch
 from gatemul.timing import DelayModel, critical_path
 
+import oracles
 from oracles import bits_msb, longest_path_delay
 
 U = Signedness.UNSIGNED
@@ -76,6 +77,33 @@ def test_full_adder_unit_depth_is_three():
     # Brute-force enumeration of every input-to-output path agrees.
     assert longest_path_delay(circ, unit) == 3
     assert critical_path(circ, unit).critical_delay == 3
+
+
+def test_adder_cells_build_what_add_gate_calls_build():
+    def cells(b, a, x, cin):
+        return half_adder(b, a, x), full_adder(b, a, x, cin)
+
+    def gates(b, a, x, cin):
+        s = b.add_gate(GateKind.XOR2, (a, x))
+        c = b.add_gate(GateKind.AND2, (a, x))
+        s1 = b.add_gate(GateKind.XOR2, (a, x))
+        s2 = b.add_gate(GateKind.XOR2, (s1, cin))
+        c1 = b.add_gate(GateKind.AND2, (a, x))
+        c2 = b.add_gate(GateKind.AND2, (cin, s1))
+        carry = b.add_gate(GateKind.OR2, (c1, c2))
+        return (s, c), (s2, carry)
+
+    built = []
+    for build in (cells, gates):
+        b = CircuitBuilder("adders")
+        ins = b.add_input("x", 3, U)
+        outs = build(b, *ins)
+        b.add_output("y", [net for pair in outs for net in pair], U)
+        built.append((outs, b.finalize()))
+    (cell_outs, cell_circ), (gate_outs, gate_circ) = built
+    assert [type(pair) for pair in cell_outs] == [tuple, tuple]
+    assert cell_outs == gate_outs
+    assert cell_circ == gate_circ
 
 
 class TestRippleCarryAdder:
@@ -262,6 +290,40 @@ class TestCarrySaveReduce:
         vec = {f"r{i}": values[i] for i in range(nrows)}
         out = evaluate(circ, vec)
         assert out["ra"] + out["rb"] == sum(v << w for v, w in zip(values, weights))
+
+
+# A dot is an input bit's index, or "0"/"1" for the builder's CONST0/CONST1.
+_dots = st.lists(
+    st.one_of(st.integers(min_value=0, max_value=11), st.sampled_from("01")),
+    min_size=1, max_size=9,
+)
+_row_sets = st.lists(
+    st.tuples(_dots, st.integers(min_value=0, max_value=8)), min_size=1, max_size=10
+)
+_drop_above = st.one_of(
+    st.none(), st.integers(min_value=1, max_value=4), st.integers(min_value=12, max_value=40)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_sets, _drop_above)
+def test_reducer_matches_the_reference_gate_for_gate(row_sets, drop_above):
+    """The reducer that revisits only changed columns builds the same gates,
+    nets and rows as the reference reducer that visits every column."""
+    built = []
+    for reduce in (carry_save_reduce, oracles.carry_save_reduce):
+        b = CircuitBuilder("csa")
+        xs = b.add_input("x", 12, U)
+        const = {"0": b.const0, "1": b.const1}
+        rows = [
+            ([const[d]() if isinstance(d, str) else xs[d] for d in dots], w)
+            for dots, w in row_sets
+        ]
+        ra, rb = reduce(b, rows, drop_above)
+        b.add_output("y", ra + rb, U)
+        circ = b.finalize()
+        built.append((ra, rb, circ.gates, circ.net_count))
+    assert built[0] == built[1]
 
 
 def test_discarded_carry_matches_signed_reading():

@@ -124,6 +124,78 @@ def test_builder_error_messages():
     assert (b.net_count, b.gate_count) == (2, 0)
 
 
+@pytest.mark.parametrize("width, signedness, message", [
+    (2, "signed", "port 'A' signedness must be a Signedness, got 'signed'"),
+    (2, None, "port 'A' signedness must be a Signedness, got None"),
+    (2.5, S, "port 'A' width must be an int, got 2.5"),
+    ("2", S, "port 'A' width must be an int, got '2'"),
+    (True, S, "port 'A' width must be an int, got True"),
+])
+def test_add_input_refuses_a_bad_width_or_signedness(width, signedness, message):
+    b = CircuitBuilder("t")
+    with pytest.raises(NetlistError) as err:
+        b.add_input("A", width, signedness)
+    assert str(err.value) == message
+    assert b.net_count == 0
+
+
+def test_add_output_refuses_a_bad_signedness():
+    b = CircuitBuilder("t")
+    bits = b.add_input("A", 2, U)
+    with pytest.raises(NetlistError) as err:
+        b.add_output("P", bits, "signed")
+    assert str(err.value) == "port 'P' signedness must be a Signedness, got 'signed'"
+    b.add_output("P", bits, S)
+    assert [p.signedness for p in b.finalize().outputs] == [S]
+
+
+class TestAddCell:
+    """``_add_cell`` refuses what ``add_gate`` refuses, with its texts,
+    before it appends anything."""
+
+    XOR_AND = ((GateKind.XOR2, 0, 1), (GateKind.AND2, 0, 2))
+
+    @pytest.mark.parametrize("inputs, recipe, kind, message", [
+        ((0, 1.0), XOR_AND, GateKind.XOR2, "gate input net id 1.0 is not an int"),
+        ((True, 1), XOR_AND, GateKind.XOR2, "gate input net id True is not an int"),
+        ((0, 2), XOR_AND, GateKind.XOR2, "gate references unallocated net 2"),
+        ((-1, 1), XOR_AND, GateKind.XOR2, "gate references unallocated net -1"),
+        ((0, 1), ((GateKind.XOR2, 0, 1), (GateKind.NOT, 0, 2)), GateKind.NOT,
+         "NOT takes 1 inputs, got 2"),
+        ((0, 1), ((GateKind.CONST0, 0, 1),), GateKind.CONST0, "CONST0 takes 0 inputs, got 2"),
+    ])
+    def test_refusals_append_nothing(self, inputs, recipe, kind, message):
+        b = CircuitBuilder("t")
+        b.add_input("A", 2, U)
+        for call in (lambda: b._add_cell(inputs, recipe), lambda: b.add_gate(kind, inputs)):
+            with pytest.raises(NetlistError) as err:
+                call()
+            assert str(err.value) == message
+        assert (b.net_count, b.gate_count) == (2, 0)
+
+    def test_finalized_builder_refused(self):
+        b = CircuitBuilder("t")
+        a = b.add_input("A", 2, U)
+        b.add_output("Y", a, U)
+        b.finalize()
+        for call in (lambda: b._add_cell(a, self.XOR_AND),
+                     lambda: b.add_gate(GateKind.XOR2, a)):
+            with pytest.raises(NetlistError) as err:
+                call()
+            assert str(err.value) == "builder already finalized"
+        assert (b.net_count, b.gate_count) == (2, 0)
+
+    def test_recipe_reads_inputs_then_earlier_outputs(self):
+        b = CircuitBuilder("t")
+        a0, a1 = b.add_input("A", 2, U)
+        assert b._add_cell([a0, a1], self.XOR_AND) == [a0, a1, 2, 3]
+        b.add_output("Y", [3], U)
+        assert b.finalize().gates == (
+            Gate(GateKind.XOR2, (a0, a1), 2),
+            Gate(GateKind.AND2, (a0, 2), 3),
+        )
+
+
 def test_constants_shared_and_recognised():
     b = CircuitBuilder("t")
     (a0,) = b.add_input("A", 1, U)
