@@ -4,6 +4,13 @@ Generates Baugh-Wooley, mixed-signedness array, radix-4 Booth, and
 four-quadrant decomposed multiplier netlists; verifies them bit-exactly
 against integer semantics; and compares critical-path delay and gate-count
 area under configurable delay models.
+
+A name is exported here if the CLI, the benchmark, a demo or the README
+uses it, or if it is the argument, return, field or exception type of an
+exported name.  Building blocks stay in their modules: the adder cells
+and the column reducer in :mod:`gatemul.genlib`, ``encode``, ``decode``
+and ``value_range`` in :mod:`gatemul.sim`, ``arrival_times`` in
+:mod:`gatemul.timing` and ``boundary_values`` in :mod:`gatemul.verify`.
 """
 
 from .netlist import (
@@ -21,13 +28,6 @@ from .netlist import (
     gate_schedule,
     validate,
 )
-from .genlib import (
-    carry_save_reduce,
-    full_adder,
-    half_adder,
-    ripple_carry_adder,
-    ripple_carry_adder_mod,
-)
 from .multipliers import (
     Architecture,
     Combiner,
@@ -37,34 +37,19 @@ from .multipliers import (
     decomposed_multiplier,
     generate,
     mixed_sign_multiplier,
-    unsigned_array_multiplier,
 )
-from .sim import (
-    decode,
-    encode,
-    evaluate,
-    evaluate_batch,
-    evaluate_vector_array,
-    value_range,
-)
+from .sim import evaluate, evaluate_batch, evaluate_vector_array
 from .timing import (
     AreaReport,
     ComparisonTable,
     DelayModel,
     TimingReport,
     area_report,
-    arrival_times,
     compare,
     critical_path,
     depth,
 )
-from .verify import (
-    VerifyReport,
-    boundary_values,
-    oracle_product,
-    verify_exhaustive,
-    verify_random,
-)
+from .verify import VerifyReport, oracle_product, verify_exhaustive, verify_random
 from .emit import JsonFormatError, from_json, to_json, to_verilog
 
 __version__ = "0.1.0"
@@ -91,34 +76,23 @@ __all__ = [
     "Violation",
     "ViolationKind",
     "area_report",
-    "arrival_times",
     "baugh_wooley_multiplier",
     "booth_radix4_multiplier",
-    "boundary_values",
-    "carry_save_reduce",
     "compare",
     "critical_path",
-    "decode",
     "decomposed_multiplier",
     "depth",
-    "encode",
     "evaluate",
     "evaluate_batch",
     "evaluate_vector_array",
     "from_json",
-    "full_adder",
     "gate_schedule",
     "generate",
-    "half_adder",
     "mixed_sign_multiplier",
     "oracle_product",
-    "ripple_carry_adder",
-    "ripple_carry_adder_mod",
     "to_json",
     "to_verilog",
-    "unsigned_array_multiplier",
     "validate",
-    "value_range",
     "verify_exhaustive",
     "verify_random",
 ]

@@ -69,6 +69,10 @@ class MultiplierSpec:
     combiner: Combiner = Combiner.CSA_TREE
 
     def __post_init__(self) -> None:
+        for name in ("width_a", "width_b", "leaf_width"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "leaf_width" and value is None):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.width_a < 1 or self.width_b < 1:
             raise ValueError("widths must be >= 1")
         if self.width_a != self.width_b:
@@ -272,13 +276,6 @@ def generate(spec: MultiplierSpec) -> Circuit:
         product = _sum_rows(b, rows, 2 * n, combiner)
     b.add_output("P", product, _product_sign(sign_a, sign_b))
     return b.finalize()
-
-
-def unsigned_array_multiplier(n: int, combiner: Combiner = Combiner.CSA_TREE) -> Circuit:
-    """n x n unsigned array multiplier with a 2n-bit product."""
-    return generate(
-        MultiplierSpec(n, n, U, U, Architecture.FLAT_UNSIGNED_ARRAY, combiner=combiner)
-    )
 
 
 def baugh_wooley_multiplier(n: int, combiner: Combiner = Combiner.CSA_TREE) -> Circuit:

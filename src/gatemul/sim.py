@@ -349,7 +349,8 @@ def evaluate_vector_array(
     packed into bit lanes and pushed through the netlist in chunks of
     ``chunk_size``; results do not depend on the chunking.  Each output is
     an int64 array when its port's range fits in int64, else an object
-    array of exact Python ints.
+    array of exact Python ints.  A circuit without input ports gives no
+    vector count and is refused with ``ValueError``.
     """
     import numpy as np
 
@@ -387,7 +388,8 @@ def evaluate_vector_array(
                 f"[{lo}, {hi}] for port {port.name!r}"
             )
         arrays[port.name] = arr.astype(port_dtype(port.width, port.signedness), copy=False)
-    assert n is not None
+    if n is None:
+        raise ValueError("circuit has no input port, so no vector count")
     out = {p.name: np.empty(n, port_dtype(p.width, p.signedness)) for p in circuit.outputs}
     for start in range(0, n, chunk_size):
         stop = min(start + chunk_size, n)
@@ -417,6 +419,8 @@ def evaluate_batch(
             _check_names(circuit, vec.keys())
         except ValueError as exc:
             raise ValueError(f"vector {idx}: {exc}") from None
+    if not circuit.inputs:
+        return [evaluate(circuit, vec) for vec in vectors]
     arrays = {p.name: [vec[p.name] for vec in vectors] for p in circuit.inputs}
     out = evaluate_vector_array(circuit, arrays, chunk_size=chunk_size)
     return [{name: int(col[i]) for name, col in out.items()} for i in range(len(vectors))]

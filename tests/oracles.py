@@ -6,11 +6,13 @@ demand-driven evaluator that pulls values backwards through the DAG.  The
 one exception is :func:`carry_save_reduce`, a verbatim copy of the
 library's earlier reducer, which visited every column on every pass; it is
 the reference the faster reducer must match gate for gate.
+:func:`read_verilog` reads emitted Verilog back without ``gatemul.emit``.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from collections import defaultdict
 from fractions import Fraction
 from typing import Sequence
@@ -19,9 +21,11 @@ from gatemul.genlib import Row, _add_bit3, _as_int, _sum_bit3
 from gatemul.netlist import (
     Circuit,
     CircuitBuilder,
+    Gate,
     GateKind,
     NetId,
     NetlistError,
+    Port,
     Signedness,
 )
 from gatemul.sim import encode
@@ -217,3 +221,94 @@ def carry_save_reduce(
         row_a.append(dots[0] if len(dots) > 0 else b.const0())
         row_b.append(dots[1] if len(dots) > 1 else b.const0())
     return row_a, row_b
+
+
+_REF = r"[A-Za-z_]\w*(?:\[\d+\])?"
+_PLAIN = {"&": GateKind.AND2, "|": GateKind.OR2, "^": GateKind.XOR2}
+_NEGATED = {"&": GateKind.NAND2, "|": GateKind.NOR2, "^": GateKind.XNOR2}
+
+
+def read_verilog(text: str, signs: dict[str, Signedness] | None = None) -> Circuit:
+    """Read back the structural Verilog subset ``to_verilog`` writes.
+
+    One module; ``input``/``output`` declarations (``[w-1:0]`` or scalar);
+    ``wire nK;``; ``assign nK = <expr>;`` with ``<expr>`` one of ``1'b0``,
+    ``1'b1``, ``x``, ``~x``, ``x op y`` or ``~(x op y)`` over ``& | ^``;
+    and ``assign P[i] = x;`` output bindings.  Wire ``nK`` is net K.  Verilog
+    carries neither input net ids nor signedness, so input bits take nets
+    0, 1, ... in declaration order, as the builder hands them out, and a
+    port is signed iff ``signs`` says so.  Anything else raises ValueError.
+    """
+    signs = signs or {}
+    lines = text.split("\n")
+    if lines[-1] != "" or lines[-2] != "endmodule":
+        raise ValueError("module must end with 'endmodule' and a final LF")
+    head = re.fullmatch(r"module (\w+) \(([\w, ]*)\);", lines[0])
+    if head is None:
+        raise ValueError(f"bad module line {lines[0]!r}")
+    ref: dict[str, int] = {}
+    inputs: list[Port] = []
+    out_widths: dict[str, int] = {}
+    out_bits: dict[str, dict[int, int]] = {}
+    gates: list[Gate] = []
+    net = 0
+
+    def net_of(token: str) -> int:
+        if token not in ref:
+            raise ValueError(f"undeclared reference {token!r}")
+        return ref[token]
+
+    def gate(expr: str) -> tuple[GateKind, tuple[int, ...]]:
+        if expr in ("1'b0", "1'b1"):
+            return (GateKind.CONST0 if expr == "1'b0" else GateKind.CONST1), ()
+        if m := re.fullmatch(rf"~\(({_REF}) ([&|^]) ({_REF})\)", expr):
+            return _NEGATED[m[2]], (net_of(m[1]), net_of(m[3]))
+        if m := re.fullmatch(rf"({_REF}) ([&|^]) ({_REF})", expr):
+            return _PLAIN[m[2]], (net_of(m[1]), net_of(m[3]))
+        if m := re.fullmatch(rf"~({_REF})", expr):
+            return GateKind.NOT, (net_of(m[1]),)
+        if re.fullmatch(_REF, expr):
+            return GateKind.BUF, (net_of(expr),)
+        raise ValueError(f"bad expression {expr!r}")
+
+    for line in lines[1:-2]:
+        if m := re.fullmatch(r"  (input|output) (?:\[(\d+):0\] )?(\w+);", line):
+            direction, top, name = m.groups()
+            width = 1 if top is None else int(top) + 1
+            if direction == "output":
+                out_widths[name] = width
+                out_bits[name] = {}
+                continue
+            bits = tuple(range(net, net + width))
+            net += width
+            if top is None:
+                ref[name] = bits[0]
+            else:
+                ref.update((f"{name}[{i}]", b) for i, b in enumerate(bits))
+            inputs.append(Port(name, bits, signs.get(name, Signedness.UNSIGNED)))
+        elif m := re.fullmatch(r"  wire n(\d+);", line):
+            ref[f"n{m[1]}"] = int(m[1])
+        elif m := re.fullmatch(r"  assign (n\d+) = (.+);", line):
+            kind, ins = gate(m[2])
+            gates.append(Gate(kind, ins, net_of(m[1])))
+        elif m := re.fullmatch(rf"  assign (\w+)(?:\[(\d+)\])? = ({_REF});", line):
+            name, index, source = m.groups()
+            bits = out_bits.get(name)
+            if bits is None or (index is None) != (out_widths[name] == 1):
+                raise ValueError(f"bad output binding {line!r}")
+            i = int(index or 0)
+            if i in bits:
+                raise ValueError(f"output bit {name}[{i}] bound twice")
+            bits[i] = net_of(source)
+        else:
+            raise ValueError(f"line not in the emitted subset: {line!r}")
+    outputs = []
+    for name, width in out_widths.items():
+        if sorted(out_bits[name]) != list(range(width)):
+            raise ValueError(f"output {name!r} is not bound bit for bit")
+        bits = tuple(out_bits[name][i] for i in range(width))
+        outputs.append(Port(name, bits, signs.get(name, Signedness.UNSIGNED)))
+    ports = [p.name for p in (*inputs, *outputs)]
+    if head[2] != ", ".join(ports):
+        raise ValueError(f"module port list {head[2]!r} does not match declarations {ports}")
+    return Circuit(head[1], tuple(inputs), tuple(outputs), tuple(gates), net + len(gates))

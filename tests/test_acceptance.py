@@ -20,7 +20,6 @@ from gatemul.multipliers import (
     booth_radix4_multiplier,
     decomposed_multiplier,
     mixed_sign_multiplier,
-    unsigned_array_multiplier,
 )
 from gatemul.netlist import CircuitBuilder, GateKind, Signedness
 from gatemul.sim import decode, encode, evaluate, evaluate_vector_array, value_range
@@ -164,7 +163,7 @@ def test_criterion_7_serialization():
     circuits = [
         baugh_wooley_multiplier(4),
         baugh_wooley_multiplier(8),
-        unsigned_array_multiplier(4),
+        mixed_sign_multiplier(4, U, U),
         mixed_sign_multiplier(4, S, U),
         mixed_sign_multiplier(4, U, S),
         booth_radix4_multiplier(8),

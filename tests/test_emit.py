@@ -17,11 +17,15 @@ from gatemul.multipliers import (
     baugh_wooley_multiplier,
     booth_radix4_multiplier,
     decomposed_multiplier,
+    generate,
     mixed_sign_multiplier,
-    unsigned_array_multiplier,
 )
 from gatemul.netlist import Circuit, CircuitBuilder, Gate, GateKind, Port, Signedness
-from gatemul.sim import evaluate_vector_array, value_range
+from gatemul.sim import evaluate, evaluate_batch, evaluate_vector_array, value_range
+from gatemul.verify import boundary_values
+
+from oracles import read_verilog
+from test_multipliers import _digest_specs
 
 GOLDEN = Path(__file__).parent / "golden"
 S = Signedness.SIGNED
@@ -54,7 +58,7 @@ def _all_generated():
         _fa_circuit(),
         baugh_wooley_multiplier(4),
         baugh_wooley_multiplier(8),
-        unsigned_array_multiplier(4),
+        mixed_sign_multiplier(4, U, U),
         mixed_sign_multiplier(4, S, U),
         booth_radix4_multiplier(8),
         decomposed_multiplier(MultiplierSpec(8, 8, S, S, Architecture.DECOMPOSED, leaf_width=4)),
@@ -104,6 +108,88 @@ class TestVerilog:
         bad = Circuit("bad", (Port("A", (0,), U),), (Port("Y", (1,), U),), (), 2)
         with pytest.raises(ValueError, match="invalid"):
             to_verilog(bad)
+
+
+def _signs(circuit):
+    return {p.name: p.signedness for p in (*circuit.inputs, *circuit.outputs)}
+
+
+def _boundary_vectors(circuit):
+    pa, pb = circuit.inputs
+    return [{pa.name: a, pb.name: b}
+            for a in boundary_values(pa.width, pa.signedness)
+            for b in boundary_values(pb.width, pb.signedness)]
+
+
+class TestVerilogReadBack:
+    """The emitted Verilog, read by the independent reader in
+    ``tests/oracles.py``, is the source circuit gate for gate."""
+
+    def _assert_reads_back(self, c):
+        back = read_verilog(to_verilog(c), _signs(c))
+        assert back == c
+        vectors = _boundary_vectors(c)
+        assert evaluate_batch(back, vectors) == evaluate_batch(c, vectors)
+
+    def test_every_digest_spec(self):
+        for spec in _digest_specs():
+            self._assert_reads_back(generate(spec))
+
+    @pytest.mark.parametrize("arch, leaf", [
+        (Architecture.FLAT_BW, None),
+        (Architecture.BOOTH_RADIX4, None),
+        (Architecture.DECOMPOSED, 4),
+    ])
+    def test_64_bit(self, arch, leaf):
+        self._assert_reads_back(generate(MultiplierSpec(64, 64, S, S, arch, leaf)))
+
+    # Names that need rewriting, 1-bit ports, BUF, NOR2, an output bit
+    # read straight from an input, and a constant output.
+    ODD = Circuit(
+        "my-mod",
+        (Port("a-b", (0, 1), U), Port("module", (2,), U), Port("n3", (3,), S)),
+        (Port("1x", (9, 5, 0), U), Port("k", (6,), U), Port("wire", (7,), S)),
+        (
+            Gate(GateKind.BUF, (0,), 4),
+            Gate(GateKind.NOR2, (1, 2), 5),
+            Gate(GateKind.CONST1, (), 6),
+            Gate(GateKind.XNOR2, (5, 3), 7),
+            Gate(GateKind.NOT, (3,), 8),
+            Gate(GateKind.NAND2, (4, 8), 9),
+        ),
+        10,
+    )
+    RENAMED = {"a-b": "a_b", "module": "module_", "n3": "n3_",
+               "1x": "_1x", "k": "k", "wire": "wire_"}
+
+    def test_hand_built_names_and_gate_kinds(self):
+        c = self.ODD
+        back = read_verilog(to_verilog(c), {"n3_": S, "wire_": S})
+        assert back.name == "my_mod"
+        assert back.gates == c.gates and back.net_count == c.net_count
+        ports = (*c.inputs, *c.outputs)
+        assert [p.name for p in (*back.inputs, *back.outputs)] == [self.RENAMED[p.name] for p in ports]
+        assert [(p.bits, p.signedness) for p in (*back.inputs, *back.outputs)] == [
+            (p.bits, p.signedness) for p in ports
+        ]
+        for ab in range(4):
+            for m in range(2):
+                for n3 in (-1, 0):
+                    got = evaluate(back, {"a_b": ab, "module_": m, "n3_": n3})
+                    want = evaluate(c, {"a-b": ab, "module": m, "n3": n3})
+                    assert got == {self.RENAMED[k]: v for k, v in want.items()}
+
+    def test_a_changed_operator_reads_as_a_different_circuit(self):
+        c = baugh_wooley_multiplier(4)
+        text = to_verilog(c)
+        back = read_verilog(text.replace(" & ", " | ", 1), _signs(c))
+        assert back != c
+        assert evaluate_batch(back, _boundary_vectors(c)) != evaluate_batch(c, _boundary_vectors(c))
+
+    def test_line_outside_the_subset_refused(self):
+        text = to_verilog(baugh_wooley_multiplier(4))
+        with pytest.raises(ValueError, match="not in the emitted subset"):
+            read_verilog(text.replace("endmodule", "  always @* ;\nendmodule"))
 
 
 class TestJsonRoundTrip:

@@ -13,7 +13,6 @@ from gatemul.multipliers import (
     decomposed_multiplier,
     generate,
     mixed_sign_multiplier,
-    unsigned_array_multiplier,
 )
 from gatemul.netlist import GateKind, Signedness, validate
 from gatemul.sim import evaluate, evaluate_vector_array, value_range
@@ -65,22 +64,22 @@ class TestUnsignedArray:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_exhaustive(self, n):
         assert_exact(
-            unsigned_array_multiplier(n),
+            mixed_sign_multiplier(n, U, U),
             spec_for(Architecture.FLAT_UNSIGNED_ARRAY, n, U, U),
         )
 
     def test_max_case(self):
-        c = unsigned_array_multiplier(4)
+        c = mixed_sign_multiplier(4, U, U)
         assert evaluate(c, {"A": 15, "B": 15})["P"] == 225
 
     def test_times_zero(self):
-        c = unsigned_array_multiplier(4)
+        c = mixed_sign_multiplier(4, U, U)
         for a in range(16):
             assert evaluate(c, {"A": a, "B": 0})["P"] == 0
 
     def test_partial_product_census(self):
         for n in (2, 3, 4, 5):
-            c = unsigned_array_multiplier(n)
+            c = mixed_sign_multiplier(n, U, U)
             input_nets = c.input_nets()
             pp = [
                 g for g in c.gates
@@ -197,6 +196,19 @@ class TestSpecInvariants:
         with pytest.raises(ValueError, match="leaf_width"):
             MultiplierSpec(8, 8, S, S, Architecture.FLAT_BW, leaf_width=4)
 
+    @pytest.mark.parametrize("width_a, width_b, leaf, field", [
+        (8.0, 8.0, None, "width_a"),
+        (8, 8.0, None, "width_b"),
+        (np.int64(8), np.int64(8), None, "width_a"),
+        (True, True, None, "width_a"),
+        (8, 8, 4.0, "leaf_width"),
+        (8, 8, np.int64(4), "leaf_width"),
+    ])
+    def test_non_int_fields_rejected_by_name(self, width_a, width_b, leaf, field):
+        arch = Architecture.FLAT_BW if leaf is None else Architecture.DECOMPOSED
+        with pytest.raises(ValueError, match=rf"^{field} must be an int, got "):
+            MultiplierSpec(width_a, width_b, S, S, arch, leaf)
+
 
 class TestCrossArchitecture:
     def test_all_signed_architectures_agree(self):
@@ -219,7 +231,7 @@ class TestCrossArchitecture:
     def test_every_generator_output_is_valid_and_2n_wide(self):
         circuits = [
             baugh_wooley_multiplier(5),
-            unsigned_array_multiplier(3),
+            mixed_sign_multiplier(3, U, U),
             mixed_sign_multiplier(4, S, U),
             booth_radix4_multiplier(6),
             decomposed_multiplier(spec_for(Architecture.DECOMPOSED, 8, leaf=4)),

@@ -593,10 +593,10 @@ class TestAnalysedOnce:
     def test_verify_with_sign_override_analyses_once(self, analysed, tmp_path, capsys):
         from gatemul.cli import main
         from gatemul.emit import to_json
-        from gatemul.multipliers import unsigned_array_multiplier
+        from gatemul.multipliers import mixed_sign_multiplier
 
         path = tmp_path / "a4.json"
-        path.write_text(to_json(unsigned_array_multiplier(4)))
+        path.write_text(to_json(mixed_sign_multiplier(4, U, U)))
         analysed.clear()
         assert main(["verify", str(path), "--exhaustive",
                      "--sign-a", "signed", "--sign-b", "signed"]) == 1

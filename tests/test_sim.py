@@ -14,7 +14,6 @@ from gatemul.multipliers import (
     baugh_wooley_multiplier,
     generate,
     mixed_sign_multiplier,
-    unsigned_array_multiplier,
 )
 from gatemul.netlist import (
     Circuit,
@@ -182,7 +181,7 @@ class TestWideArrays:
     """Ports whose range exceeds int64 travel as exact Python ints."""
 
     def test_32x32_unsigned_full_product(self):
-        c = unsigned_array_multiplier(32)
+        c = mixed_sign_multiplier(32, U, U)
         top = (1 << 32) - 1
         out = evaluate_vector_array(c, {"A": [top, 0, top, 1], "B": [top, top, 2, top]})
         assert out["P"].tolist() == [top * top, 0, 2 * top, top]
@@ -246,6 +245,20 @@ class TestInvalidCircuits:
             evaluate_vector_array(c, {"A": [0, 1]})
 
 
+class TestNoInputPorts:
+    """A valid circuit without input ports: a constant output."""
+
+    CONST = Circuit("k", (), (Port("P", (0,), U),), (Gate(GateKind.CONST1, (), 0),), 1)
+
+    def test_scalar_and_batch_evaluate(self):
+        assert evaluate(self.CONST, {}) == {"P": 1}
+        assert evaluate_batch(self.CONST, [{}, {}]) == [{"P": 1}, {"P": 1}]
+
+    def test_vector_array_refuses_without_a_vector_count(self):
+        with pytest.raises(ValueError, match="no input port, so no vector count"):
+            evaluate_vector_array(self.CONST, {})
+
+
 class TestNonIntegerInput:
     """Array inputs are integers; nothing is truncated or parsed."""
 
@@ -265,13 +278,13 @@ class TestNonIntegerInput:
             evaluate_vector_array(c, {"A": values, "B": [1, 2]})
 
     def test_float_array_rejected_on_a_wide_port(self):
-        c = unsigned_array_multiplier(64)
+        c = mixed_sign_multiplier(64, U, U)
         with pytest.raises(ValueError, match="'B' must be integers"):
             evaluate_vector_array(c, {"A": [1, 2], "B": np.array([1.0, 2.0])})
 
     def test_non_integer_rejected_on_a_wide_port(self):
         # Ports past int64 take object arrays, which must hold integers too.
-        c = unsigned_array_multiplier(64)
+        c = mixed_sign_multiplier(64, U, U)
         with pytest.raises(ValueError, match="'A' must be integers"):
             evaluate_vector_array(c, {"A": [1.5, 2], "B": [1, 2]})
         b = CircuitBuilder("wide")

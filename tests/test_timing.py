@@ -11,7 +11,7 @@ from gatemul.multipliers import (
     baugh_wooley_multiplier,
     decomposed_multiplier,
     generate,
-    unsigned_array_multiplier,
+    mixed_sign_multiplier,
 )
 from gatemul.netlist import Circuit, CircuitBuilder, GateKind, Signedness
 from gatemul.timing import (
@@ -264,8 +264,8 @@ class TestAreaReport:
         assert sum(rep.counts.values()) == rep.total_gates == len(c.gates)
 
     def test_regeneration_stable(self):
-        a = area_report(unsigned_array_multiplier(6))
-        b = area_report(unsigned_array_multiplier(6))
+        a = area_report(mixed_sign_multiplier(6, U, U))
+        b = area_report(mixed_sign_multiplier(6, U, U))
         assert a == b
 
 
@@ -278,7 +278,7 @@ class TestCompare:
 
     def test_deterministic(self):
         c1 = baugh_wooley_multiplier(4)
-        c2 = unsigned_array_multiplier(4)
+        c2 = mixed_sign_multiplier(4, U, U)
         t1 = compare([("bw", c1), ("arr", c2)], UNIT)
         t2 = compare([("bw", c1), ("arr", c2)], UNIT)
         assert t1 == t2
@@ -291,7 +291,7 @@ class TestCompare:
 
     def test_markdown_and_csv_carry_identical_values(self):
         t = compare(
-            [("bw", baugh_wooley_multiplier(4)), ("arr", unsigned_array_multiplier(4))],
+            [("bw", baugh_wooley_multiplier(4)), ("arr", mixed_sign_multiplier(4, U, U))],
             DelayModel.tech_demo(),
         )
         md_cells = [
@@ -306,7 +306,7 @@ class TestCompare:
         # Rows come in GateKind definition order, never in hash order.
         circuits = [
             ("bw", baugh_wooley_multiplier(8)),
-            ("arr", unsigned_array_multiplier(8)),
+            ("arr", mixed_sign_multiplier(8, U, U)),
         ]
         table = compare(circuits, UNIT)
         counted = [m[: -len(" count")] for m, _ in table.rows if m.endswith(" count")]
