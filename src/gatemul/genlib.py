@@ -117,51 +117,37 @@ def _sum_bit3(b: CircuitBuilder, x: NetId, y: NetId, z: NetId) -> NetId:
     return xor2(b, xor2(b, x, y), z)
 
 
-def _ripple_below_top(
-    b: CircuitBuilder,
-    a_bits: Sequence[NetId],
-    b_bits: Sequence[NetId],
-    cin: NetId | None,
-    name: str,
-) -> tuple[list[NetId], NetId]:
-    """Ripple every column but the top; returns their sums and the carry
-    into the top column, which each caller adds its own way."""
+def _check_widths(name: str, a_bits: Sequence[NetId], b_bits: Sequence[NetId]) -> None:
     if len(a_bits) != len(b_bits):
         raise NetlistError(f"{name} width mismatch: {len(a_bits)} vs {len(b_bits)}")
     if not a_bits:
         raise NetlistError(f"{name} needs width >= 1")
-    carry = cin if cin is not None else b.const0()
-    sums: list[NetId] = []
-    for ai, bi in zip(a_bits[:-1], b_bits[:-1]):
-        s, carry = _add_bit3(b, ai, bi, carry)
-        sums.append(s)
-    return sums, carry
 
 
 def ripple_carry_adder(
-    b: CircuitBuilder,
-    a_bits: Sequence[NetId],
-    b_bits: Sequence[NetId],
-    cin: NetId | None = None,
+    b: CircuitBuilder, a_bits: Sequence[NetId], b_bits: Sequence[NetId]
 ) -> list[NetId]:
     """n-bit ripple addition; returns n sum bits plus the carry-out (MSB).
 
     Callers needing modular addition drop the top bit, or use
     :func:`ripple_carry_adder_mod` which never builds the carry-out logic.
     """
-    sums, carry = _ripple_below_top(b, a_bits, b_bits, cin, "ripple_carry_adder")
-    sums += _add_bit3(b, a_bits[-1], b_bits[-1], carry)
-    return sums
+    _check_widths("ripple_carry_adder", a_bits, b_bits)
+    # A zero top column: its sum folds to the carry-out.
+    z = b.const0()
+    return ripple_carry_adder_mod(b, [*a_bits, z], [*b_bits, z])
 
 
 def ripple_carry_adder_mod(
-    b: CircuitBuilder,
-    a_bits: Sequence[NetId],
-    b_bits: Sequence[NetId],
-    cin: NetId | None = None,
+    b: CircuitBuilder, a_bits: Sequence[NetId], b_bits: Sequence[NetId]
 ) -> list[NetId]:
     """Ripple addition modulo 2**n: n bits out, no carry-out gates."""
-    sums, carry = _ripple_below_top(b, a_bits, b_bits, cin, "ripple_carry_adder_mod")
+    _check_widths("ripple_carry_adder_mod", a_bits, b_bits)
+    carry = b.const0()
+    sums: list[NetId] = []
+    for ai, bi in zip(a_bits[:-1], b_bits[:-1]):
+        s, carry = _add_bit3(b, ai, bi, carry)
+        sums.append(s)
     sums.append(_sum_bit3(b, a_bits[-1], b_bits[-1], carry))
     return sums
 

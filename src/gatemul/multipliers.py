@@ -3,7 +3,8 @@
 :func:`generate` builds every multiplier from a :class:`MultiplierSpec`,
 whose ``__post_init__`` is the only width and signedness check; the named
 generators (``baugh_wooley_multiplier`` and the others) are shorthands for
-it.  Each architecture makes weighted rows for one reduction backbone:
+it with the default ``Combiner.CSA_TREE``, and another combiner needs a
+spec.  Each architecture makes weighted rows for one reduction backbone:
 
 * flat arrays, one Baugh-Wooley rule for every signedness pair:
   pp[i][j] = a_i & b_j at column i+j, complemented (NAND) iff exactly one
@@ -278,27 +279,19 @@ def generate(spec: MultiplierSpec) -> Circuit:
     return b.finalize()
 
 
-def baugh_wooley_multiplier(n: int, combiner: Combiner = Combiner.CSA_TREE) -> Circuit:
+def baugh_wooley_multiplier(n: int) -> Circuit:
     """n x n signed (two's complement) array multiplier, Baugh-Wooley form."""
-    return generate(MultiplierSpec(n, n, S, S, Architecture.FLAT_BW, combiner=combiner))
+    return generate(MultiplierSpec(n, n, S, S, Architecture.FLAT_BW))
 
 
-def mixed_sign_multiplier(
-    n: int,
-    sign_a: Signedness,
-    sign_b: Signedness,
-    combiner: Combiner = Combiner.CSA_TREE,
-) -> Circuit:
+def mixed_sign_multiplier(n: int, sign_a: Signedness, sign_b: Signedness) -> Circuit:
     """Array multiplier for any operand signedness combination."""
-    spec = MultiplierSpec(
-        n, n, sign_a, sign_b, Architecture.FLAT_UNSIGNED_ARRAY, combiner=combiner
-    )
-    return generate(spec)
+    return generate(MultiplierSpec(n, n, sign_a, sign_b, Architecture.FLAT_UNSIGNED_ARRAY))
 
 
-def booth_radix4_multiplier(n: int, combiner: Combiner = Combiner.CSA_TREE) -> Circuit:
+def booth_radix4_multiplier(n: int) -> Circuit:
     """n x n signed multiplier from radix-4 recoded partial products."""
-    return generate(MultiplierSpec(n, n, S, S, Architecture.BOOTH_RADIX4, combiner=combiner))
+    return generate(MultiplierSpec(n, n, S, S, Architecture.BOOTH_RADIX4))
 
 
 def decomposed_multiplier(spec: MultiplierSpec) -> Circuit:

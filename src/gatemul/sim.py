@@ -33,6 +33,7 @@ if TYPE_CHECKING:
 
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 _M64 = (1 << 64) - 1
+_CHUNK = 1 << 16  # vectors per lane batch in evaluate_vector_array
 
 
 def fits_int64(*values: int) -> bool:
@@ -340,22 +341,19 @@ def _ints_from_limbs(limbs: np.ndarray) -> np.ndarray:
 def evaluate_vector_array(
     circuit: Circuit,
     values: Mapping[str, "np.typing.ArrayLike"],
-    chunk_size: int = 1 << 16,
 ) -> dict[str, np.ndarray]:
     """Vectorized :func:`evaluate` over equal-length arrays of port values.
 
     Each input must be a one-dimensional integer-dtype array, or an object
     array or sequence whose items :func:`evaluate` accepts.  Vectors are
     packed into bit lanes and pushed through the netlist in chunks of
-    ``chunk_size``; results do not depend on the chunking.  Each output is
-    an int64 array when its port's range fits in int64, else an object
-    array of exact Python ints.  A circuit without input ports gives no
+    ``_CHUNK`` (65,536); results do not depend on the chunking.  Each
+    output is an int64 array when its port's range fits in int64, else an
+    object array of exact Python ints.  A circuit without input ports gives no
     vector count and is refused with ``ValueError``.
     """
     import numpy as np
 
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
     program = _program(circuit)
     _check_names(circuit, values.keys())
     arrays: dict[str, np.ndarray] = {}
@@ -391,8 +389,8 @@ def evaluate_vector_array(
     if n is None:
         raise ValueError("circuit has no input port, so no vector count")
     out = {p.name: np.empty(n, port_dtype(p.width, p.signedness)) for p in circuit.outputs}
-    for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
         lanes = []
         for p in circuit.inputs:
             lanes += _pack_port(arrays[p.name][start:stop], p.width)
@@ -409,7 +407,6 @@ def evaluate_vector_array(
 def evaluate_batch(
     circuit: Circuit,
     vectors: Sequence[Mapping[str, int]],
-    chunk_size: int = 1 << 16,
 ) -> list[dict[str, int]]:
     """Apply :func:`evaluate` to each assignment, order preserved."""
     if not vectors:
@@ -422,5 +419,5 @@ def evaluate_batch(
     if not circuit.inputs:
         return [evaluate(circuit, vec) for vec in vectors]
     arrays = {p.name: [vec[p.name] for vec in vectors] for p in circuit.inputs}
-    out = evaluate_vector_array(circuit, arrays, chunk_size=chunk_size)
+    out = evaluate_vector_array(circuit, arrays)
     return [{name: int(col[i]) for name, col in out.items()} for i in range(len(vectors))]

@@ -7,6 +7,8 @@ otherwise it multiplies exact Python ints.  It never touches generator or
 simulator word paths, so a bug in the netlist machinery cannot hide itself.
 numpy is imported inside the functions that use it, not at module top, so
 importing gatemul (as ``gen`` and ``compare`` do) does not load it.
+Both entry points refuse a spec whose operand widths or signs differ from
+the circuit's ports.
 
 A report's ``failures`` is a read-only sequence of ``(inputs, expected,
 actual)`` rows.  The failing vectors stay in numpy arrays, and a row's tuple
@@ -34,6 +36,9 @@ RANDOM_ALGORITHM = "numpy-pcg64"
 
 #: Widest operand :func:`verify_exhaustive` sweeps (2**16 vectors at 8 bits).
 EXHAUSTIVE_MAX_WIDTH = 8
+
+# Failing vectors that ``VerifyReport.to_text`` lists before "... and N more".
+_MAX_WITNESSES = 20
 
 
 # One failing vector: its operands by port name, the product, the netlist's output.
@@ -108,7 +113,7 @@ class VerifyReport:
     def passed(self) -> bool:
         return len(self.failures) == 0
 
-    def to_text(self, max_witnesses: int = 20) -> str:
+    def to_text(self) -> str:
         lines = [f"mode: {self.mode}"]
         if self.mode == "random":
             lines.append(
@@ -125,11 +130,11 @@ class VerifyReport:
             lines.append(f"result: PASS ({self.total_vectors} vectors, 0 failures)")
         else:
             lines.append(f"result: FAIL ({len(self.failures)} failures)")
-            for inputs, expected, actual in self.failures[:max_witnesses]:
+            for inputs, expected, actual in self.failures[:_MAX_WITNESSES]:
                 assign = " ".join(f"{k}={v}" for k, v in inputs.items())
                 lines.append(f"  {assign}: expected {expected}, got {actual}")
-            if len(self.failures) > max_witnesses:
-                lines.append(f"  ... and {len(self.failures) - max_witnesses} more")
+            if len(self.failures) > _MAX_WITNESSES:
+                lines.append(f"  ... and {len(self.failures) - _MAX_WITNESSES} more")
         return "\n".join(lines)
 
     def to_json(self) -> str:
@@ -168,6 +173,11 @@ def _ports(circuit: Circuit, spec: MultiplierSpec):
         raise ValueError(
             f"circuit widths {pa.width}x{pb.width} do not match the spec "
             f"{spec.width_a}x{spec.width_b}"
+        )
+    if pa.signedness is not spec.sign_a or pb.signedness is not spec.sign_b:
+        raise ValueError(
+            f"circuit signs {pa.signedness.value} x {pb.signedness.value} do not "
+            f"match the spec {spec.sign_a.value} x {spec.sign_b.value}"
         )
     return pa, pb, circuit.outputs[0]
 

@@ -137,22 +137,23 @@ class TestRippleCarryAdder:
         with pytest.raises(NetlistError, match="mismatch"):
             ripple_carry_adder(b, xs, ys)
 
-    def test_explicit_carry_in(self):
-        def cell(b, x, y):
-            (cin,) = b.add_input("cin", 1, U)
-            return ripple_carry_adder(b, x, y, cin)
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_builds_the_explicit_cell_chain(self, width):
+        # No generator calls this adder, so the generator digests cannot pin
+        # its gates: a CONST0 that no gate reads, a half adder, then full
+        # adders.
+        def cells(b, x, y):
+            b.const0()
+            s, carry = half_adder(b, x[0], y[0])
+            sums = [s]
+            for xi, yi in zip(x[1:], y[1:]):
+                s, carry = full_adder(b, xi, yi, carry)
+                sums.append(s)
+            return [*sums, carry]
 
-        b = CircuitBuilder("add")
-        xs = b.add_input("x", 3, U)
-        ys = b.add_input("y", 3, U)
-        out = cell(b, xs, ys)
-        b.add_output("s", out, U)
-        circ = b.finalize()
-        for x in range(8):
-            for y in range(8):
-                for cin in (0, 1):
-                    got = evaluate(circ, {"x": x, "y": y, "cin": cin})["s"]
-                    assert got == x + y + cin
+        adder, _ = _adder_circuit(width, lambda b, x, y: ripple_carry_adder(b, x, y))
+        chain, _ = _adder_circuit(width, cells)
+        assert adder == chain
 
 
 @pytest.mark.parametrize("width", range(1, 6))

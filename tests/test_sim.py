@@ -129,12 +129,13 @@ class TestBatch:
             vecs = [random_assignment(rng, c) for _ in range(17)]
             assert evaluate_batch(c, vecs) == [evaluate(c, v) for v in vecs]
 
-    def test_chunking_does_not_change_results(self):
+    def test_chunking_does_not_change_results(self, monkeypatch):
         c = baugh_wooley_multiplier(4)
         vecs = [{"A": a, "B": b} for a in range(-8, 8) for b in range(-8, 8)]
         reference = evaluate_batch(c, vecs)
         for chunk in (1, 7, 15, 10_000):
-            assert evaluate_batch(c, vecs, chunk_size=chunk) == reference
+            monkeypatch.setattr(sim, "_CHUNK", chunk)
+            assert evaluate_batch(c, vecs) == reference
 
     def test_exhaustive_8x8_sweep(self):
         c = baugh_wooley_multiplier(8)
@@ -188,7 +189,7 @@ class TestWideArrays:
 
     @pytest.mark.parametrize("width", [1, 31, 32, 33, 62, 63, 64, 65, 130])
     @pytest.mark.parametrize("signedness", [S, U])
-    def test_pass_through_matches_scalar(self, width, signedness):
+    def test_pass_through_matches_scalar(self, width, signedness, monkeypatch):
         # Y = NOT A round-trips every value through packing and decoding.
         b = CircuitBuilder("inv")
         bits = b.add_input("A", width, signedness)
@@ -197,7 +198,8 @@ class TestWideArrays:
         lo, hi = value_range(width, signedness)
         rng = random.Random(width)
         vals = [lo, hi, 0, *(rng.randint(lo, hi) for _ in range(40))]
-        got = evaluate_vector_array(c, {"A": vals}, chunk_size=16)["Y"].tolist()
+        monkeypatch.setattr(sim, "_CHUNK", 16)
+        got = evaluate_vector_array(c, {"A": vals})["Y"].tolist()
         assert got == [evaluate(c, {"A": v})["Y"] for v in vals]
         assert got == [(~v - lo) % (hi - lo + 1) + lo for v in vals]
 
@@ -468,7 +470,8 @@ def _awkward_circuit(rng: random.Random) -> Circuit:
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 8, 9, 64])
-def test_awkward_circuits_match_demand_oracle(chunk):
+def test_awkward_circuits_match_demand_oracle(chunk, monkeypatch):
+    monkeypatch.setattr(sim, "_CHUNK", chunk)
     rng = random.Random(chunk)
     seen = set()
     for _ in range(60):
@@ -488,9 +491,7 @@ def test_awkward_circuits_match_demand_oracle(chunk):
         vecs = [random_assignment(rng, c) for _ in range(rng.randint(1, 100))]
         want = [demand_evaluate(c, v) for v in vecs]
         assert [evaluate(c, v) for v in vecs] == want
-        out = evaluate_vector_array(
-            c, {p.name: [v[p.name] for v in vecs] for p in c.inputs}, chunk_size=chunk
-        )
+        out = evaluate_vector_array(c, {p.name: [v[p.name] for v in vecs] for p in c.inputs})
         assert [{k: int(out[k][i]) for k in out} for i in range(len(vecs))] == want
     assert len(seen) == 6
 

@@ -12,6 +12,7 @@ from gatemul.multipliers import (
     baugh_wooley_multiplier,
     decomposed_multiplier,
     generate,
+    mixed_sign_multiplier,
 )
 from gatemul.netlist import Circuit, Gate, GateKind, Signedness
 from gatemul.sim import evaluate, value_range
@@ -85,6 +86,16 @@ class TestExhaustive:
         spec8 = MultiplierSpec(8, 8, S, S, Architecture.FLAT_BW)
         with pytest.raises(ValueError, match="do not match"):
             verify_exhaustive(c, spec8)
+
+    @pytest.mark.parametrize("signs", [(U, U), (S, U), (U, S)])
+    def test_sign_mismatch_detected(self, signs):
+        c = mixed_sign_multiplier(4, *signs)
+        names = " x ".join(sign.value for sign in signs)
+        message = f"circuit signs {names} do not match the spec signed x signed"
+        with pytest.raises(ValueError, match=message):
+            verify_exhaustive(c, BW4_SPEC)
+        with pytest.raises(ValueError, match=message):
+            verify_random(c, BW4_SPEC, count=10, seed=1)
 
     def test_corrupted_netlist_reports_witnesses(self):
         c = baugh_wooley_multiplier(4)
@@ -245,7 +256,7 @@ class TestPinnedSeed:
         c = baugh_wooley_multiplier(16)
         mutant = flip_gate(c, partial_product_gates(c)[5])
         report = verify_random(mutant, self.SPEC16, count=6, seed=2024)
-        assert report.to_text(max_witnesses=8) == "\n".join([
+        assert report.to_text() == "\n".join([
             "mode: random",
             "algorithm: numpy-pcg64, seed: 2024, requested: 6",
             "vectors: 31 (boundary 25 + random 6)",
@@ -258,7 +269,19 @@ class TestPinnedSeed:
             "  A=-26717 B=27219: expected -727210023, got -727209991",
             "  A=-18723 B=32492: expected -608347716, got -608347748",
             "  A=-16940 B=26783: expected -453704020, got -453703988",
-            "  ... and 23 more",
+            "  A=-12488 B=-23447: expected 292806136, got 292806168",
+            "  A=-11951 B=-27622: expected 330110522, got 330110554",
+            "  A=-1 B=-32768: expected 32768, got 32800",
+            "  A=-1 B=-1: expected 1, got -31",
+            "  A=-1 B=0: expected 0, got 32",
+            "  A=-1 B=1: expected -1, got 31",
+            "  A=-1 B=32767: expected -32767, got -32799",
+            "  A=0 B=-32768: expected 0, got 32",
+            "  A=0 B=-1: expected 0, got 32",
+            "  A=0 B=0: expected 0, got 32",
+            "  A=0 B=1: expected 0, got 32",
+            "  A=0 B=32767: expected 0, got 32",
+            "  ... and 11 more",
         ])
         passing = verify_random(c, self.SPEC16, count=6, seed=2024)
         assert passing.to_text().endswith("result: PASS (31 vectors, 0 failures)")
@@ -418,7 +441,7 @@ class TestFailureSequence:
             return out
 
         monkeypatch.setattr(_Failures, "_rows", counting_rows)
-        text = report.to_text(max_witnesses=20)
+        text = report.to_text()
         assert text.endswith(f"... and {len(report.failures) - 20} more")
         assert 0 < sum(built) <= 20
 
