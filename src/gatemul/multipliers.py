@@ -36,6 +36,9 @@ from .netlist import Circuit, CircuitBuilder, GateKind, NetId, Signedness
 S = Signedness.SIGNED
 U = Signedness.UNSIGNED
 
+#: Widest operand a spec accepts: the widest measured exact, built in about 2 s.
+MAX_WIDTH = 256
+
 
 class Architecture(Enum):
     FLAT_BW = "FlatBW"
@@ -76,6 +79,8 @@ class MultiplierSpec:
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if self.width_a < 1 or self.width_b < 1:
             raise ValueError("widths must be >= 1")
+        if self.width_a > MAX_WIDTH or self.width_b > MAX_WIDTH:
+            raise ValueError(f"widths must be <= {MAX_WIDTH}")
         if self.width_a != self.width_b:
             raise ValueError("width_a must equal width_b")
         arch = self.architecture

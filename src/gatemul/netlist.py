@@ -376,23 +376,26 @@ class CircuitBuilder:
                 raise NetlistError(f"output port {name!r} references unallocated net {net}")
         self._outputs.append(Port(name, tuple(bits), signedness))
 
-    def add_gate(self, kind: GateKind, inputs: Iterable[NetId]) -> NetId:
-        """Append a gate over existing nets; returns its fresh output net."""
-        # Called once per generated gate: the open check and the net
-        # allocation are inlined, and the tuple skips NamedTuple's __new__.
-        if self._done:
-            raise NetlistError("builder already finalized")
-        ins = tuple(inputs)
-        if len(ins) != kind.arity:
-            raise NetlistError(
-                f"{kind.value} takes {kind.arity} inputs, got {len(ins)}"
-            )
+    def _check_inputs(self, inputs: Sequence[NetId]) -> NetId:
+        """Refuse a finalized builder, then an input that is not an
+        allocated net id; returns the next free net id."""
+        self._check_open()
         out = self._net_count
-        for net in ins:
+        for net in inputs:
             if type(net) is not int:
                 raise NetlistError(f"gate input net id {net!r} is not an int")
             if not 0 <= net < out:
                 raise NetlistError(f"gate references unallocated net {net}")
+        return out
+
+    def add_gate(self, kind: GateKind, inputs: Iterable[NetId]) -> NetId:
+        """Append a gate over existing nets; returns its fresh output net."""
+        ins = tuple(inputs)
+        out = self._check_inputs(ins)
+        if len(ins) != kind.arity:
+            raise NetlistError(
+                f"{kind.value} takes {kind.arity} inputs, got {len(ins)}"
+            )
         self._net_count = out + 1
         self._gates.append(tuple.__new__(Gate, (kind, ins, out)))
         return out
@@ -408,14 +411,7 @@ class CircuitBuilder:
         before anything is appended; every other net a gate reads is an
         output of an earlier gate of the group.
         """
-        if self._done:
-            raise NetlistError("builder already finalized")
-        out = self._net_count
-        for net in inputs:
-            if type(net) is not int:
-                raise NetlistError(f"gate input net id {net!r} is not an int")
-            if not 0 <= net < out:
-                raise NetlistError(f"gate references unallocated net {net}")
+        out = self._check_inputs(inputs)
         nets = list(inputs)
         cell = []
         new = tuple.__new__

@@ -3,7 +3,7 @@
 Bit 0 is always the LSB; a signed port of width n gives its top bit weight
 -2**(n-1).  The simulator runs the netlist itself, not any word-level
 shortcut.  On its first simulation a circuit is compiled into one program:
-its gates in dependency order as parallel lists of op codes and value
+its gates in dependency order, each a step of its gate kind and value
 slots.  A liveness pass hands a net's slot on to a later net once the net's
 last reader has run, so a program holds a few hundred values where the
 circuit has thousands of nets.  The program is cached on the ``Circuit``
@@ -83,36 +83,24 @@ def decode(bits: Sequence[int], signedness: Signedness) -> int:
     return u
 
 
-# Op codes, in the order _evaluate_lanes tests them: AND2, XOR2 and OR2 make
-# up over 98% of every generated multiplier's gates.
-_AND2, _XOR2, _OR2, _NOT, _NAND2, _NOR2, _XNOR2, _BUF, _CONST1, _CONST0 = range(10)
-_OPCODES = {
-    GateKind.AND2: _AND2,
-    GateKind.XOR2: _XOR2,
-    GateKind.OR2: _OR2,
-    GateKind.NOT: _NOT,
-    GateKind.NAND2: _NAND2,
-    GateKind.NOR2: _NOR2,
-    GateKind.XNOR2: _XNOR2,
-    GateKind.BUF: _BUF,
-    GateKind.CONST1: _CONST1,
-    GateKind.CONST0: _CONST0,
-}
+# The gate kinds in the order _evaluate_lanes tests them: AND2, XOR2 and OR2
+# make up over 98% of every generated multiplier's gates.
+_AND2, _XOR2, _OR2, _NOT = GateKind.AND2, GateKind.XOR2, GateKind.OR2, GateKind.NOT
+_NAND2, _NOR2, _XNOR2, _BUF = GateKind.NAND2, GateKind.NOR2, GateKind.XNOR2, GateKind.BUF
+_CONST1, _CONST0 = GateKind.CONST1, GateKind.CONST0
 
 
 class _Program(NamedTuple):
     """A circuit compiled for simulation; built by :func:`_compile`.
 
-    Gate ``i`` of the schedule writes slot ``outs[i]`` from slots ``in0[i]``
-    and ``in1[i]`` (both 0 for a constant, equal for a one-input gate).  The
-    input-port bits, ports in order and LSB first, start in slots 0, 1, ...;
-    ``out_slots`` lists the slot of each output-port bit in the same order.
+    Step ``(kind, out, in0, in1)`` runs one gate of the schedule: it writes
+    slot ``out`` from slots ``in0`` and ``in1`` (both 0 for a constant, equal
+    for a one-input gate).  The input-port bits, ports in order and LSB
+    first, start in slots 0, 1, ...; ``out_slots`` lists the slot of each
+    output-port bit in the same order.
     """
 
-    ops: list[int]
-    outs: list[int]
-    in0: list[int]
-    in1: list[int]
+    steps: list[tuple[GateKind, int, int, int]]
     out_slots: list[int]
     slot_count: int
 
@@ -125,8 +113,7 @@ def _compile(circuit: Circuit) -> _Program:
     after the slots of the inputs it reads for the last time are freed, so it
     may overwrite one of them.  Output-port nets are never freed; a net that
     nothing reads frees its slot right after it is written.  Raises
-    :class:`ValidationError` on an invalid circuit and ``KeyError`` on a gate
-    kind without an op code.
+    :class:`ValidationError` on an invalid circuit.
     """
     order = [circuit.gates[gi] for gi in _require_valid(circuit).schedule]
     # Step of each net's last read: -1 if never read, len(order) if an output.
@@ -144,11 +131,9 @@ def _compile(circuit: Circuit) -> _Program:
         slot[net] = s
     count = len(in_nets)
     free = [slot[net] for net in in_nets if last[net] < 0]
-    ops, outs, in0, in1 = [], [], [], []
+    steps = []
     for t, (kind, ins, out) in enumerate(order):
-        ops.append(_OPCODES[kind])
-        in0.append(slot[ins[0]] if ins else 0)
-        in1.append(slot[ins[-1]] if ins else 0)
+        a, b = (slot[ins[0]], slot[ins[-1]]) if ins else (0, 0)
         for net in ins:
             if last[net] == t:
                 last[net] = -1  # freed once, even when read twice (x op x)
@@ -159,11 +144,11 @@ def _compile(circuit: Circuit) -> _Program:
             s = count
             count += 1
         slot[out] = s
-        outs.append(s)
+        steps.append((kind, s, a, b))
         if last[out] < 0:
             free.append(s)
     out_slots = [slot[net] for p in circuit.outputs for net in p.bits]
-    return _Program(ops, outs, in0, in1, out_slots, count)
+    return _Program(steps, out_slots, count)
 
 
 def _program(circuit: Circuit) -> _Program:
@@ -185,27 +170,29 @@ def _evaluate_lanes(program: _Program, in_lanes: Sequence[int], mask: int) -> li
     with ``mask == 1`` these are plain single-bit ops."""
     v = [*in_lanes]
     v += [0] * (program.slot_count - len(v))
-    for op, o, a, b in zip(program.ops, program.outs, program.in0, program.in1):
-        if op == _AND2:
+    for op, o, a, b in program.steps:
+        if op is _AND2:
             v[o] = v[a] & v[b]
-        elif op == _XOR2:
+        elif op is _XOR2:
             v[o] = v[a] ^ v[b]
-        elif op == _OR2:
+        elif op is _OR2:
             v[o] = v[a] | v[b]
-        elif op == _NOT:
+        elif op is _NOT:
             v[o] = v[a] ^ mask
-        elif op == _NAND2:
+        elif op is _NAND2:
             v[o] = (v[a] & v[b]) ^ mask
-        elif op == _NOR2:
+        elif op is _NOR2:
             v[o] = (v[a] | v[b]) ^ mask
-        elif op == _XNOR2:
+        elif op is _XNOR2:
             v[o] = v[a] ^ v[b] ^ mask
-        elif op == _BUF:
+        elif op is _BUF:
             v[o] = v[a]
-        elif op == _CONST1:
+        elif op is _CONST1:
             v[o] = mask
-        else:  # _CONST0; _compile admits no other code
+        elif op is _CONST0:
             v[o] = 0
+        else:
+            raise NotImplementedError(f"no simulation rule for gate kind {op!r}")
     return [v[s] for s in program.out_slots]
 
 

@@ -23,7 +23,9 @@ from operator import itemgetter
 from typing import Mapping, Sequence
 import csv
 
-from .netlist import Circuit, Gate, GateKind, NetId, _arrivals, _latest_output, _require_valid
+from .netlist import (
+    Circuit, Gate, GateKind, NetId, _LEVELS, _arrivals, _latest_output, _require_valid,
+)
 
 DelayLike = int | float | str | Fraction
 
@@ -75,11 +77,8 @@ class DelayModel:
 
     @staticmethod
     def unit() -> "DelayModel":
-        """Every non-constant gate costs 1; critical delay = depth in levels."""
-        return DelayModel(
-            "unit",
-            {k: Fraction(0 if k in (GateKind.CONST0, GateKind.CONST1) else 1) for k in GateKind},
-        )
+        """The level table as delays: critical delay = depth in levels."""
+        return DelayModel("unit", _LEVELS)
 
     @staticmethod
     def tech_demo() -> "DelayModel":

@@ -411,8 +411,15 @@ class TestRefusals:
          "error: compare needs at least two architecture tokens\n"),
         (["compare", "--width", "8", "bw", "wallace"],
          "error: unknown architecture token 'wallace'\n"),
+        (["gen", "--arch", "bw", "--width", str(2**62), "--out", "{dir}/x.json"],
+         "error: widths must be <= 256\n"),
+        (["compare", "--width", str(10**20), "bw", "booth4"],
+         "error: widths must be <= 256\n"),
+        (["verify", "{dir}/bw8.json", "--random", str(2**59)],
+         "error: count must be <= 16777216\n"),
     ], ids=["spec", "suffix", "unwritable_out", "unreadable_file", "not_2_in_1_out",
-            "exhaustive_cap", "random_0", "single_token", "unknown_token"])
+            "exhaustive_cap", "random_0", "single_token", "unknown_token",
+            "gen_width_2**62", "compare_width_10**20", "verify_random_2**59"])
     def test_error_text_is_pinned(self, netlists, capsys, argv, err):
         assert run([a.format(dir=netlists) for a in argv]) == 2
         assert capsys.readouterr() == ("", err.format(dir=netlists))

@@ -7,6 +7,7 @@ from gatemul.emit import to_json, to_verilog
 from gatemul.multipliers import (
     Architecture,
     Combiner,
+    MAX_WIDTH,
     MultiplierSpec,
     baugh_wooley_multiplier,
     booth_radix4_multiplier,
@@ -191,6 +192,13 @@ class TestSpecInvariants:
     def test_rectangular_rejected(self):
         with pytest.raises(ValueError, match="width_a"):
             MultiplierSpec(8, 4, S, S, Architecture.FLAT_BW)
+
+    def test_width_cap(self):
+        for arch, leaf in [(Architecture.FLAT_BW, None), (Architecture.DECOMPOSED, 4)]:
+            assert MultiplierSpec(256, 256, S, S, arch, leaf).width_a == MAX_WIDTH == 256
+            for width_a, width_b in [(257, 257), (8, 257), (2**62, 2**62)]:
+                with pytest.raises(ValueError, match=r"^widths must be <= 256$"):
+                    MultiplierSpec(width_a, width_b, S, S, arch, leaf)
 
     def test_leaf_on_flat_rejected(self):
         with pytest.raises(ValueError, match="leaf_width"):

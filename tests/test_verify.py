@@ -151,6 +151,12 @@ class TestRandom:
         with pytest.raises(ValueError):
             verify_random(c, BW4_SPEC, count=0, seed=0)
 
+    def test_count_cap(self):
+        c = baugh_wooley_multiplier(4)
+        for count in (2**24 + 1, 2**59):
+            with pytest.raises(ValueError, match=r"^count must be <= 16777216$"):
+                verify_random(c, BW4_SPEC, count=count, seed=0)
+
     def test_failures_sorted_by_input_vector(self):
         # Flipping a partial product breaks many vectors; order must be sorted.
         c = baugh_wooley_multiplier(4)
