@@ -11,8 +11,8 @@ from gatemul import (
     Signedness,
     baugh_wooley_multiplier,
     booth_radix4_multiplier,
-    decomposed_multiplier,
     evaluate,
+    generate,
     mixed_sign_multiplier,
     verify_exhaustive,
     verify_random,
@@ -42,7 +42,7 @@ print("booth8 exhaustive:", verify_exhaustive(booth8, spec).to_text().splitlines
 
 # --- four-quadrant decomposition ---------------------------------------------
 spec = MultiplierSpec(8, 8, S, S, Architecture.DECOMPOSED, leaf_width=4)
-dec8 = decomposed_multiplier(spec)
+dec8 = generate(spec)
 print("\ndec8_4:", evaluate(dec8, {"A": 127, "B": -128}))  # {'P': -16256}
 print("dec8_4 exhaustive:", verify_exhaustive(dec8, spec).to_text().splitlines()[-1])
 
@@ -53,6 +53,6 @@ for leaf in (4, 8):
         16, 16, S, S, Architecture.DECOMPOSED, leaf_width=leaf,
         combiner=Combiner.CSA_TREE,
     )
-    c = decomposed_multiplier(spec)
+    c = generate(spec)
     report = verify_random(c, spec, count=100_000, seed=42)
     print(f"{c.name} random:", report.to_text().splitlines()[-1])

@@ -15,16 +15,14 @@ from gatemul import (
     booth_radix4_multiplier,
     compare,
     critical_path,
-    decomposed_multiplier,
+    generate,
 )
 
 S = Signedness.SIGNED
 
 flat = baugh_wooley_multiplier(8)
 booth = booth_radix4_multiplier(8)
-dec = decomposed_multiplier(
-    MultiplierSpec(8, 8, S, S, Architecture.DECOMPOSED, leaf_width=4)
-)
+dec = generate(MultiplierSpec(8, 8, S, S, Architecture.DECOMPOSED, leaf_width=4))
 
 # --- single-circuit reports --------------------------------------------------
 unit = DelayModel.unit()
@@ -43,7 +41,7 @@ print("\n" + compare(entries, unit).to_markdown())
 print(compare(entries, DelayModel.tech_demo()).to_markdown())
 
 # --- how much of the speedup is the combiner? --------------------------------
-ripple = decomposed_multiplier(
+ripple = generate(
     MultiplierSpec(8, 8, S, S, Architecture.DECOMPOSED, leaf_width=4,
                    combiner=Combiner.RIPPLE_CASCADE)
 )

@@ -3,7 +3,8 @@
 Generates Baugh-Wooley, mixed-signedness array, radix-4 Booth, and
 four-quadrant decomposed multiplier netlists; verifies them bit-exactly
 against integer semantics; and compares critical-path delay and gate-count
-area under configurable delay models.
+area under configurable delay models.  ``generate`` builds each of them
+from a ``MultiplierSpec``; a decomposed one has no shorthand.
 
 A name is exported here if the CLI, the benchmark, a demo or the README
 uses it, or if it is the argument, return, field or exception type of an
@@ -34,7 +35,6 @@ from .multipliers import (
     MultiplierSpec,
     baugh_wooley_multiplier,
     booth_radix4_multiplier,
-    decomposed_multiplier,
     generate,
     mixed_sign_multiplier,
 )
@@ -80,7 +80,6 @@ __all__ = [
     "booth_radix4_multiplier",
     "compare",
     "critical_path",
-    "decomposed_multiplier",
     "depth",
     "evaluate",
     "evaluate_batch",

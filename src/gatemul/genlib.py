@@ -162,31 +162,31 @@ def _as_int(value, what: str) -> int:
 def carry_save_reduce(
     b: CircuitBuilder,
     rows: Sequence[Row],
-    drop_above: int | None = None,
+    drop_above: int,
 ) -> tuple[list[NetId], list[NetId]]:
     """Compress any number of weighted rows to two rows whose sum equals
-    the weighted row total.
+    the weighted row total modulo 2**drop_above.
 
     Greedy per-column 3:2 compression, columns taken in ascending order
     within each pass, until every column holds at most two dots.  The two
-    returned rows are aligned at column 0 and have equal length; one final
-    ripple addition of the pair yields the total.  A column that already
-    holds two dots or fewer gets no adder cell.
+    returned rows are aligned at column 0; one final ripple addition of the
+    pair yields the total.  A column that already holds two dots or fewer
+    gets no adder cell.
 
-    ``drop_above`` discards columns at or above the given index, i.e. the
-    preserved total is modulo 2**drop_above, and both rows then have
-    exactly ``drop_above`` columns.  Non-int or negative weights and a
-    ``drop_above`` that is not an int >= 1 raise :class:`NetlistError`.
+    ``drop_above`` is the result width: columns at or above it are
+    discarded, and both rows have exactly ``drop_above`` columns.  Non-int
+    or negative weights and a ``drop_above`` that is not an int >= 1 raise
+    :class:`NetlistError`.
     """
     if not rows:
         raise NetlistError("carry_save_reduce needs at least one row")
-    top = float("inf") if drop_above is None else _as_int(drop_above, "drop_above")
+    top = _as_int(drop_above, "drop_above")
     if top < 1:
         raise NetlistError(f"drop_above must be >= 1, got {top}")
 
     # Dots in columns from ``top`` up and CONST0 dots are never placed.  A cell
     # may allocate CONST0, so it is read from the builder after each cell.
-    cols: list[list[NetId]] = []
+    cols: list[list[NetId]] = [[] for _ in range(top)]
     zero = b._const0
     for bits, w in rows:
         w = _as_int(w, "row weight")
@@ -196,8 +196,6 @@ def carry_save_reduce(
             raise NetlistError("row weights must be non-negative")
         for c, net in enumerate(bits, w):
             if c < top and net != zero:
-                if c >= len(cols):
-                    cols += [[] for _ in range(c + 1 - len(cols))]
                 cols[c].append(net)
 
     # A pass changes only the columns holding three dots or more and the
@@ -209,10 +207,6 @@ def carry_save_reduce(
         visit = sorted({*busy, *(c + 1 for c in busy if c + 1 < top)})
         carries: list[NetId] = []
         for c in visit:
-            if c == len(cols):
-                if not carries:
-                    break
-                cols.append([])
             dots = cols[c]
             col, carries = carries, []
             full = len(dots) // 3 * 3
@@ -227,13 +221,11 @@ def carry_save_reduce(
                     col.append(s)
             col += dots[full:]
             cols[c] = col
-        busy = [c for c in visit if c < len(cols) and len(cols[c]) > 2]
+        busy = [c for c in visit if len(cols[c]) > 2]
 
-    width = top if drop_above is not None else max(len(cols), 1)
     row_a: list[NetId] = []
     row_b: list[NetId] = []
-    for c in range(width):
-        dots = cols[c] if c < len(cols) else ()
+    for dots in cols:
         row_a.append(dots[0] if len(dots) > 0 else b.const0())
         row_b.append(dots[1] if len(dots) > 1 else b.const0())
     return row_a, row_b

@@ -1,10 +1,11 @@
 """Multiplier netlist generators.
 
 :func:`generate` builds every multiplier from a :class:`MultiplierSpec`,
-whose ``__post_init__`` is the only width and signedness check; the named
-generators (``baugh_wooley_multiplier`` and the others) are shorthands for
-it with the default ``Combiner.CSA_TREE``, and another combiner needs a
-spec.  Each architecture makes weighted rows for one reduction backbone:
+whose ``__post_init__`` is the only width and signedness check; the three
+named generators that take ``n`` (``baugh_wooley_multiplier`` and the
+others) are shorthands for it with the default ``Combiner.CSA_TREE``, and a
+decomposed multiplier or another combiner needs a spec.  Each architecture
+makes weighted rows for one reduction backbone:
 
 * flat arrays, one Baugh-Wooley rule for every signedness pair:
   pp[i][j] = a_i & b_j at column i+j, complemented (NAND) iff exactly one
@@ -297,10 +298,3 @@ def mixed_sign_multiplier(n: int, sign_a: Signedness, sign_b: Signedness) -> Cir
 def booth_radix4_multiplier(n: int) -> Circuit:
     """n x n signed multiplier from radix-4 recoded partial products."""
     return generate(MultiplierSpec(n, n, S, S, Architecture.BOOTH_RADIX4))
-
-
-def decomposed_multiplier(spec: MultiplierSpec) -> Circuit:
-    """Four-quadrant decomposition of an n x n product down to flat leaves."""
-    if spec.architecture is not Architecture.DECOMPOSED:
-        raise ValueError("spec.architecture must be Decomposed")
-    return generate(spec)

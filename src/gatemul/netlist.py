@@ -98,9 +98,6 @@ class Circuit:
     gates: tuple[Gate, ...]
     net_count: int
 
-    def input_nets(self) -> set[NetId]:
-        return {n for p in self.inputs for n in p.bits}
-
     @cached_property
     def _analysis(self) -> _Analysis:
         return _analyse(self)

@@ -1,15 +1,14 @@
 """Static timing analysis and area accounting over gate netlists.
 
-Delays are exact rationals (:class:`fractions.Fraction`), so model scaling
-and cross-model comparisons behave algebraically: scaling every gate delay
-by k scales the critical delay by exactly k and leaves the witness path
-unchanged.  STA runs as one pass over integers: each model scales its
-delays by their common denominator, and results are converted back, so
-they are still exact rationals.  That pass is the netlist's longest-path
-pass, which also gives the depth in gate levels with a cost of one level
-per non-constant gate.  Timing is purely topological -- no input-dependent
-or false-path analysis -- which is what a synthesis report's "path delay"
-measures.
+Delays are exact rationals (:class:`fractions.Fraction`), so cross-model
+comparisons behave algebraically: a model whose every gate delay is k times
+another's has exactly k times its critical delay and the same witness path.
+STA runs as one pass over integers: each model scales its delays by their
+common denominator, and results are converted back, so they are still
+exact rationals.  That pass is the netlist's longest-path pass, which also
+gives the depth in gate levels with a cost of one level per non-constant
+gate.  Timing is purely topological -- no input-dependent or false-path
+analysis -- which is what a synthesis report's "path delay" measures.
 """
 
 from __future__ import annotations
@@ -46,7 +45,14 @@ class DelayModel:
     delay_of: Mapping[GateKind, Fraction]
 
     def __post_init__(self) -> None:
-        coerced = {k: _coerce_delay(v) for k, v in self.delay_of.items()}
+        coerced: dict[GateKind, Fraction] = {}
+        for k, v in self.delay_of.items():
+            if not isinstance(k, GateKind):
+                raise ValueError(f"delay model key must be a GateKind, got {k!r}")
+            try:
+                coerced[k] = _coerce_delay(v)
+            except (TypeError, ValueError, ArithmeticError):
+                raise ValueError(f"delay for {k.value} must be a number, got {v!r}") from None
         missing = [k.value for k in GateKind if k not in coerced]
         if missing:
             raise ValueError(f"delay model {self.name!r} missing kinds: {missing}")
@@ -61,19 +67,6 @@ class DelayModel:
         scale = lcm(*(d.denominator for d in coerced.values()))
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_ticks", {k: int(d * scale) for k, d in coerced.items()})
-
-    def __getitem__(self, kind: GateKind) -> Fraction:
-        return self.delay_of[kind]
-
-    def scaled(self, k: DelayLike) -> "DelayModel":
-        """Uniformly scaled copy (k > 0)."""
-        factor = _coerce_delay(k)
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return DelayModel(
-            name=f"{self.name}*{factor}",
-            delay_of={kind: d * factor for kind, d in self.delay_of.items()},
-        )
 
     @staticmethod
     def unit() -> "DelayModel":

@@ -43,13 +43,13 @@ def enumerate_path_delays(circuit: Circuit, model) -> list[Fraction]:
     it is a brute-force oracle for static timing analysis.
     """
     driver = {g.output: g for g in circuit.gates}
-    input_nets = circuit.input_nets()
+    input_nets = {n for p in circuit.inputs for n in p.bits}
 
     def paths_to(net) -> list[Fraction]:
         if net in input_nets:
             return [Fraction(0)]
         g = driver[net]
-        d = Fraction(model[g.kind])
+        d = Fraction(model.delay_of[g.kind])
         if not g.inputs:
             return [d]
         out: list[Fraction] = []

@@ -18,7 +18,7 @@ from gatemul.multipliers import (
     MultiplierSpec,
     baugh_wooley_multiplier,
     booth_radix4_multiplier,
-    decomposed_multiplier,
+    generate,
     mixed_sign_multiplier,
 )
 from gatemul.netlist import CircuitBuilder, GateKind, Signedness
@@ -51,7 +51,7 @@ def test_criterion_1_exhaustive_functional_correctness():
             failures.append(f"bw{n}")
     for combiner in (Combiner.CSA_TREE, Combiner.RIPPLE_CASCADE):
         spec = _spec(Architecture.DECOMPOSED, 8, leaf=4, combiner=combiner)
-        rep = verify_exhaustive(decomposed_multiplier(spec), spec)
+        rep = verify_exhaustive(generate(spec), spec)
         if not rep.passed:
             failures.append(f"dec8/{combiner.value}")
     for n in (4, 6, 8):
@@ -91,7 +91,7 @@ def test_criterion_3_16x16_decomposition_structures():
     }
     bad = []
     for label, (spec, seed) in variants.items():
-        c = decomposed_multiplier(spec)
+        c = generate(spec)
         rep = verify_random(c, spec, count=1_000_000, seed=seed)
         if not rep.passed or rep.total_vectors < 1_000_000:
             bad.append(label)
@@ -109,7 +109,7 @@ def test_criterion_4_depth_ordering():
     ok = True
     for n in (8, 16):
         flat = baugh_wooley_multiplier(n)
-        dec = decomposed_multiplier(_spec(Architecture.DECOMPOSED, n, leaf=4))
+        dec = generate(_spec(Architecture.DECOMPOSED, n, leaf=4))
         df, dd = depth(flat), depth(dec)
         ok = ok and dd <= df
         results.append(f"n={n}: dec {dd} <= flat {df} (ratio {df / dd:.2f}x)")
@@ -134,7 +134,8 @@ def test_criterion_5_sta_against_brute_force():
             model = DelayModel.unit()
         base = critical_path(c, model)
         assert base.critical_delay == longest_path_delay(c, model)
-        scaled = critical_path(c, model.scaled(k))
+        scaled_model = DelayModel("scaled", {kind: d * k for kind, d in model.delay_of.items()})
+        scaled = critical_path(c, scaled_model)
         assert scaled.critical_delay == k * base.critical_delay
         assert scaled.critical_path == base.critical_path
         checked += 1
@@ -167,8 +168,8 @@ def test_criterion_7_serialization():
         mixed_sign_multiplier(4, S, U),
         mixed_sign_multiplier(4, U, S),
         booth_radix4_multiplier(8),
-        decomposed_multiplier(_spec(Architecture.DECOMPOSED, 8, leaf=4)),
-        decomposed_multiplier(_spec(Architecture.DECOMPOSED, 16, leaf=8)),
+        generate(_spec(Architecture.DECOMPOSED, 8, leaf=4)),
+        generate(_spec(Architecture.DECOMPOSED, 16, leaf=8)),
     ]
     not_identical = [c.name for c in circuits if from_json(to_json(c)) != c]
     unstable = [c.name for c in circuits if to_verilog(c) != to_verilog(c)]

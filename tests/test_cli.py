@@ -430,9 +430,8 @@ class TestRefusals:
         ["verify", "{dir}/bw8.json", "--random", str(2**59)],
     ], ids=["gen_width_2**62", "compare_width_10**20", "verify_random_2**59"])
     def test_size_too_large_exits_2_without_traceback(self, netlists, argv):
-        # Each fails at once: a list of 2**62 nets (MemoryError), a width
-        # past ssize_t (OverflowError), a 4 EiB vector array (numpy's
-        # MemoryError subclass).
+        # A size cap refuses each argv with a ValueError before anything is
+        # allocated.
         proc = _run_cli([a.format(dir=netlists) for a in argv])
         assert proc.returncode == 2
         assert proc.stdout == ""
@@ -485,19 +484,26 @@ class TestCollectorState:
         assert exhaustive == randomised == [gc_state]
         assert gc.isenabled() is gc_state
 
+    @pytest.mark.parametrize("error, err", [
+        (MemoryError(), "error: out of memory\n"),
+        (OverflowError("Python int too large to convert to C ssize_t"),
+         "error: Python int too large to convert to C ssize_t\n"),
+    ], ids=["MemoryError", "OverflowError"])
     def test_bare_memory_error_exits_2_and_restores_it(
-        self, gc_state, monkeypatch, tmp_path, capsys
+        self, gc_state, monkeypatch, tmp_path, capsys, error, err
     ):
+        # The size caps refuse every argv before either error can occur, so
+        # the generator raises it here.
         seen = []
 
         def exhausted(spec):
             seen.append(gc.isenabled())
-            raise MemoryError
+            raise error
 
         monkeypatch.setattr(cli, "generate", exhausted)
         argv = ["gen", "--arch", "bw", "--width", "8", "--out", str(tmp_path / "bw8.json")]
         assert run(argv) == 2
-        assert capsys.readouterr() == ("", "error: out of memory\n")
+        assert capsys.readouterr() == ("", err)
         assert seen == [False]
         assert gc.isenabled() is gc_state
 

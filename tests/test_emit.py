@@ -16,7 +16,6 @@ from gatemul.multipliers import (
     MultiplierSpec,
     baugh_wooley_multiplier,
     booth_radix4_multiplier,
-    decomposed_multiplier,
     generate,
     mixed_sign_multiplier,
 )
@@ -61,8 +60,8 @@ def _all_generated():
         mixed_sign_multiplier(4, U, U),
         mixed_sign_multiplier(4, S, U),
         booth_radix4_multiplier(8),
-        decomposed_multiplier(MultiplierSpec(8, 8, S, S, Architecture.DECOMPOSED, leaf_width=4)),
-        decomposed_multiplier(
+        generate(MultiplierSpec(8, 8, S, S, Architecture.DECOMPOSED, leaf_width=4)),
+        generate(
             MultiplierSpec(8, 8, S, S, Architecture.DECOMPOSED, leaf_width=4,
                            combiner=Combiner.RIPPLE_CASCADE)
         ),
@@ -90,12 +89,12 @@ class TestVerilog:
 
     def test_d16_frozen_hash(self):
         spec = MultiplierSpec(16, 16, S, S, Architecture.DECOMPOSED, leaf_width=4)
-        text = to_verilog(decomposed_multiplier(spec))
+        text = to_verilog(generate(spec))
         assert hashlib.sha256(text.encode()).hexdigest() == D16_SHA256
 
     def test_d16_json_frozen_hash(self):
         spec = MultiplierSpec(16, 16, S, S, Architecture.DECOMPOSED, leaf_width=4)
-        text = to_json(decomposed_multiplier(spec))
+        text = to_json(generate(spec))
         assert hashlib.sha256(text.encode()).hexdigest() == D16_JSON_SHA256
 
     def test_lf_line_endings(self):

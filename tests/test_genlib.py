@@ -173,7 +173,7 @@ class TestCarrySaveReduce:
         (x,) = b.add_input("x", 1, U)
         (y,) = b.add_input("y", 1, U)
         (z,) = b.add_input("z", 1, U)
-        ra, rb = carry_save_reduce(b, [([x], 0), ([y], 0), ([z], 0)])
+        ra, rb = carry_save_reduce(b, [([x], 0), ([y], 0), ([z], 0)], drop_above=2)
         b.add_output("ra", ra, U)
         b.add_output("rb", rb, U)
         circ = b.finalize()
@@ -185,14 +185,14 @@ class TestCarrySaveReduce:
         xs = b.add_input("x", 4, U)
         ys = b.add_input("y", 4, U)
         before = b.gate_count
-        ra, rb = carry_save_reduce(b, [(xs, 0), (ys, 0)])
+        ra, rb = carry_save_reduce(b, [(xs, 0), (ys, 0)], drop_above=4)
         assert b.gate_count == before
         assert ra == xs and rb == ys
 
     def test_random_rows_preserve_sum(self):
         b = CircuitBuilder("csa")
         rows = [b.add_input(f"r{i}", 8, U) for i in range(4)]
-        ra, rb = carry_save_reduce(b, [(r, 0) for r in rows])
+        ra, rb = carry_save_reduce(b, [(r, 0) for r in rows], drop_above=10)
         b.add_output("ra", ra, U)
         b.add_output("rb", rb, U)
         circ = b.finalize()
@@ -206,10 +206,11 @@ class TestCarrySaveReduce:
 
     def test_weighted_rows(self):
         # Four weights, then one or two rows of one weight, which keep it.
+        # Nine columns hold every sum here.
         for weights in ((0, 2, 3, 1), (3,), (2, 2), (1, 1), (5, 5)):
             b = CircuitBuilder("csa")
             rows = [(b.add_input(f"r{i}", 3, U), w) for i, w in enumerate(weights)]
-            ra, rb = carry_save_reduce(b, rows)
+            ra, rb = carry_save_reduce(b, rows, drop_above=9)
             assert len(ra) == len(rb)
             b.add_output("ra", ra, U)
             b.add_output("rb", rb, U)
@@ -241,12 +242,12 @@ class TestCarrySaveReduce:
     def test_empty_rows_rejected(self):
         b = CircuitBuilder("csa")
         with pytest.raises(NetlistError):
-            carry_save_reduce(b, [])
+            carry_save_reduce(b, [], drop_above=1)
 
     @pytest.mark.parametrize("weight, drop_above, message", [
-        (2.7, None, "row weight must be an int, got 2.7"),
-        ("1", None, "row weight must be an int, got '1'"),
-        (-1, None, "row weights must be non-negative"),
+        (2.7, 6, "row weight must be an int, got 2.7"),
+        ("1", 6, "row weight must be an int, got '1'"),
+        (-1, 6, "row weights must be non-negative"),
         (0, 0, "drop_above must be >= 1, got 0"),
         (0, -1, "drop_above must be >= 1, got -1"),
         (0, 2.0, "drop_above must be an int, got 2.0"),
@@ -277,7 +278,9 @@ class TestCarrySaveReduce:
         )
         b = CircuitBuilder("csa")
         rows = [(b.add_input(f"r{i}", width, U), weights[i]) for i in range(nrows)]
-        ra, rb = carry_save_reduce(b, rows)
+        # nrows values below 2**width, shifted by at most max(weights) bits.
+        drop_above = width + max(weights) + nrows.bit_length()
+        ra, rb = carry_save_reduce(b, rows, drop_above=drop_above)
         b.add_output("ra", ra, U)
         b.add_output("rb", rb, U)
         circ = b.finalize()
@@ -302,7 +305,7 @@ _row_sets = st.lists(
     st.tuples(_dots, st.integers(min_value=0, max_value=8)), min_size=1, max_size=10
 )
 _drop_above = st.one_of(
-    st.none(), st.integers(min_value=1, max_value=4), st.integers(min_value=12, max_value=40)
+    st.integers(min_value=1, max_value=4), st.integers(min_value=12, max_value=40)
 )
 
 

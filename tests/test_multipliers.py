@@ -11,7 +11,6 @@ from gatemul.multipliers import (
     MultiplierSpec,
     baugh_wooley_multiplier,
     booth_radix4_multiplier,
-    decomposed_multiplier,
     generate,
     mixed_sign_multiplier,
 )
@@ -81,7 +80,7 @@ class TestUnsignedArray:
     def test_partial_product_census(self):
         for n in (2, 3, 4, 5):
             c = mixed_sign_multiplier(n, U, U)
-            input_nets = c.input_nets()
+            input_nets = {net for p in c.inputs for net in p.bits}
             pp = [
                 g for g in c.gates
                 if g.kind is GateKind.AND2 and all(i in input_nets for i in g.inputs)
@@ -140,11 +139,11 @@ class TestDecomposed:
     @pytest.mark.parametrize("combiner", [Combiner.CSA_TREE, Combiner.RIPPLE_CASCADE])
     def test_8x8_leaf4_exhaustive(self, combiner):
         spec = spec_for(Architecture.DECOMPOSED, 8, leaf=4, combiner=combiner)
-        assert_exact(decomposed_multiplier(spec), spec)
+        assert_exact(generate(spec), spec)
 
     def test_8x8_worked_example(self):
         spec = spec_for(Architecture.DECOMPOSED, 8, leaf=4)
-        c = decomposed_multiplier(spec)
+        c = generate(spec)
         assert evaluate(c, {"A": 127, "B": -128})["P"] == -16256
         from gatemul.sim import encode
         assert encode(-16256, 16, S) == bits_msb("1100000010000000")
@@ -153,12 +152,12 @@ class TestDecomposed:
     def test_mixed_top_level_exhaustive(self, signs):
         sa, sb = signs
         spec = spec_for(Architecture.DECOMPOSED, 8, sa, sb, leaf=4)
-        assert_exact(decomposed_multiplier(spec), spec)
+        assert_exact(generate(spec), spec)
 
     @pytest.mark.parametrize("leaf", [4, 8])
     def test_16x16_random(self, leaf):
         spec = spec_for(Architecture.DECOMPOSED, 16, leaf=leaf)
-        c = decomposed_multiplier(spec)
+        c = generate(spec)
         rng = np.random.default_rng(123)
         a = rng.integers(-32768, 32767, size=20_000, dtype=np.int64, endpoint=True)
         b = rng.integers(-32768, 32767, size=20_000, dtype=np.int64, endpoint=True)
@@ -224,8 +223,8 @@ class TestCrossArchitecture:
         circuits = [
             baugh_wooley_multiplier(n),
             booth_radix4_multiplier(n),
-            decomposed_multiplier(spec_for(Architecture.DECOMPOSED, n, leaf=4)),
-            decomposed_multiplier(
+            generate(spec_for(Architecture.DECOMPOSED, n, leaf=4)),
+            generate(
                 spec_for(Architecture.DECOMPOSED, n, leaf=4, combiner=Combiner.RIPPLE_CASCADE)
             ),
         ]
@@ -242,7 +241,7 @@ class TestCrossArchitecture:
             mixed_sign_multiplier(3, U, U),
             mixed_sign_multiplier(4, S, U),
             booth_radix4_multiplier(6),
-            decomposed_multiplier(spec_for(Architecture.DECOMPOSED, 8, leaf=4)),
+            generate(spec_for(Architecture.DECOMPOSED, 8, leaf=4)),
         ]
         for c in circuits:
             assert validate(c) == []

@@ -402,7 +402,7 @@ def test_builder_gates_topologically_ordered():
     rng = random.Random(7)
     for _ in range(25):
         c = random_circuit(rng)
-        placed = set(c.input_nets())
+        placed = {n for p in c.inputs for n in p.bits}
         for g in c.gates:
             assert all(i in placed for i in g.inputs)
             placed.add(g.output)
@@ -413,7 +413,7 @@ def test_net_density():
     rng = random.Random(11)
     for _ in range(10):
         c = random_circuit(rng)
-        referenced = set(c.input_nets()) | {g.output for g in c.gates}
+        referenced = {n for p in c.inputs for n in p.bits} | {g.output for g in c.gates}
         assert max(referenced) + 1 == c.net_count
         assert validate(c) == []
 
@@ -430,7 +430,7 @@ def test_gate_schedule_reorders_shuffled_gates():
     )
     assert validate(shuffled) == []
     order = gate_schedule(shuffled)
-    seen = set(shuffled.input_nets())
+    seen = {n for p in shuffled.inputs for n in p.bits}
     for gi in order:
         g = shuffled.gates[gi]
         assert all(i in seen for i in g.inputs)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ from gatemul.multipliers import (
     Combiner,
     MultiplierSpec,
     baugh_wooley_multiplier,
-    decomposed_multiplier,
     generate,
     mixed_sign_multiplier,
 )
@@ -61,12 +61,12 @@ def _random_model(rng):
 class TestDelayModel:
     def test_builtin_models(self):
         unit = DelayModel.by_name("unit")
-        assert unit[GateKind.AND2] == 1
-        assert unit[GateKind.CONST0] == 0
+        assert unit.delay_of[GateKind.AND2] == 1
+        assert unit.delay_of[GateKind.CONST0] == 0
         tech = DelayModel.by_name("tech-demo")
-        assert tech[GateKind.NAND2] == Fraction(9, 10)
-        assert tech[GateKind.XOR2] == Fraction(8, 5)
-        assert tech[GateKind.BUF] == Fraction(1, 2)
+        assert tech.delay_of[GateKind.NAND2] == Fraction(9, 10)
+        assert tech.delay_of[GateKind.XOR2] == Fraction(8, 5)
+        assert tech.delay_of[GateKind.BUF] == Fraction(1, 2)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown delay model"):
@@ -91,7 +91,20 @@ class TestDelayModel:
         delays = {k: 0.0 for k in GateKind}
         delays[GateKind.AND2] = 0.9
         m = DelayModel("m", delays)
-        assert m[GateKind.AND2] == Fraction(9, 10)
+        assert m.delay_of[GateKind.AND2] == Fraction(9, 10)
+
+    @pytest.mark.parametrize("key, delay, message", [
+        ("AND2", -1, "delay model key must be a GateKind, got 'AND2'"),
+        ("x", 1, "delay model key must be a GateKind, got 'x'"),
+        (GateKind.AND2, None, "delay for AND2 must be a number, got None"),
+        (GateKind.AND2, "fast", "delay for AND2 must be a number, got 'fast'"),
+        (GateKind.AND2, "1/0", "delay for AND2 must be a number, got '1/0'"),
+        (GateKind.AND2, float("nan"), "delay for AND2 must be a number, got nan"),
+    ])
+    def test_foreign_key_or_non_number_rejected(self, key, delay, message):
+        delays = {k: Fraction(0) for k in GateKind}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DelayModel("m", {**delays, key: delay})
 
 
 class TestArrivalTimes:
@@ -160,7 +173,7 @@ class TestCriticalPath:
         circ = b.finalize()
         report = critical_path(circ, UNIT)
         assert report.critical_delay == 3
-        assert sum(UNIT[g.kind] for g in report.critical_path) == 3
+        assert sum(UNIT.delay_of[g.kind] for g in report.critical_path) == 3
 
     def test_const_buffer_circuit(self):
         b = CircuitBuilder("cb")
@@ -170,7 +183,7 @@ class TestCriticalPath:
         b.add_output("o", [out], U)
         circ = b.finalize()
         tech = DelayModel.tech_demo()
-        assert critical_path(circ, tech).critical_delay == tech[GateKind.BUF]
+        assert critical_path(circ, tech).critical_delay == tech.delay_of[GateKind.BUF]
 
     def test_matches_brute_force_on_small_dags(self):
         rng = random.Random(2024)
@@ -179,7 +192,7 @@ class TestCriticalPath:
             model = _random_model(rng) if i % 2 else UNIT
             report = critical_path(c, model)
             assert report.critical_delay == longest_path_delay(c, model)
-            assert sum(model[g.kind] for g in report.critical_path) == report.critical_delay
+            assert sum(model.delay_of[g.kind] for g in report.critical_path) == report.critical_delay
 
     def test_scaling_invariance(self):
         rng = random.Random(99)
@@ -188,7 +201,8 @@ class TestCriticalPath:
             c = random_circuit(rng, max_gates=20)
             model = _random_model(rng)
             base = critical_path(c, model)
-            scaled = critical_path(c, model.scaled(k))
+            scaled_model = DelayModel("scaled", {kind: d * k for kind, d in model.delay_of.items()})
+            scaled = critical_path(c, scaled_model)
             assert scaled.critical_delay == k * base.critical_delay
             assert scaled.critical_path == base.critical_path
 
@@ -328,9 +342,7 @@ class TestCompare:
         from fractions import Fraction
 
         booth = booth_radix4_multiplier(8)
-        dec = decomposed_multiplier(
-            MultiplierSpec(8, 8, S, S, Architecture.DECOMPOSED, leaf_width=4)
-        )
+        dec = generate(MultiplierSpec(8, 8, S, S, Architecture.DECOMPOSED, leaf_width=4))
         d_booth = critical_path(booth, UNIT).critical_delay
         d_dec = critical_path(dec, UNIT).critical_delay
         assert d_booth > d_dec  # booth is the slower baseline here
@@ -348,7 +360,7 @@ class TestDepthOrdering:
                 n, n, S, S, Architecture.DECOMPOSED, leaf_width=4,
                 combiner=Combiner.CSA_TREE,
             )
-            dec = decomposed_multiplier(spec)
+            dec = generate(spec)
             assert depth(dec) <= depth(flat)
 
 
