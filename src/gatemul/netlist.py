@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from enum import Enum
@@ -273,26 +273,6 @@ def gate_schedule(circuit: Circuit) -> list[int]:
     algorithm.  Raises :class:`ValidationError` on an invalid circuit.
     """
     return list(_require_valid(circuit).schedule)
-
-
-def _with_signedness(
-    circuit: Circuit, inputs: Sequence[Signedness], outputs: Sequence[Signedness]
-) -> Circuit:
-    """``circuit`` with each port's signedness replaced, in port order.
-
-    The copy shares the original's cached analysis instead of computing it
-    again: the gates and nets are the same, and the analysis does not read
-    signedness.
-    """
-    copy = replace(
-        circuit,
-        inputs=tuple(replace(p, signedness=s)
-                     for p, s in zip(circuit.inputs, inputs, strict=True)),
-        outputs=tuple(replace(p, signedness=s)
-                      for p, s in zip(circuit.outputs, outputs, strict=True)),
-    )
-    copy.__dict__["_analysis"] = circuit._analysis
-    return copy
 
 
 class CircuitBuilder:

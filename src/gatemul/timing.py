@@ -19,6 +19,7 @@ from fractions import Fraction
 from io import StringIO
 from math import lcm
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Mapping, Sequence
 import csv
 
@@ -62,7 +63,9 @@ class DelayModel:
         for k in (GateKind.CONST0, GateKind.CONST1):
             if coerced[k] != 0:
                 raise ValueError("constant generators must have zero delay")
-        object.__setattr__(self, "delay_of", coerced)
+        # Read-only: STA reads the ticks computed from it below, which a
+        # later write to the map would not change.
+        object.__setattr__(self, "delay_of", MappingProxyType(coerced))
         # Integer delays in units of 1/_scale, for STA.
         scale = lcm(*(d.denominator for d in coerced.values()))
         object.__setattr__(self, "_scale", scale)

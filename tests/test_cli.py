@@ -226,31 +226,39 @@ class TestVerify:
         assert doc["requested_count"] == 100
 
     def test_sign_override(self, tmp_path, capsys):
-        # An unsigned array netlist read back as signed x signed must fail.
+        # An unsigned array netlist whose file marks A, B and P signed is
+        # read as signed x signed, and must fail.
         out = tmp_path / "arr4.json"
         run(["gen", "--arch", "array", "--width", "4", "--out", str(out)])
         capsys.readouterr()
         assert run(["verify", str(out)]) == 0
-        assert run(["verify", str(out), "--sign-a", "signed",
-                    "--sign-b", "signed"]) == 1
+        text = out.read_text()
+        assert text.count('"signed": false') == 3
+        out.write_text(text.replace('"signed": false', '"signed": true'))
+        assert run(["verify", str(out)]) == 1
 
     def test_one_bit_signed_netlist_is_verified(self, tmp_path, capsys):
         path = tmp_path / "a1.json"
-        assert run(["gen", "--arch", "array", "--width", "1", "--out", str(path)]) == 0
+        assert run(["gen", "--arch", "array", "--width", "1", "--sign-a", "signed",
+                    "--sign-b", "signed", "--out", str(path)]) == 0
         capsys.readouterr()
         # A 1-bit AND is also the signed x signed product: (-a)(-b) == ab.
-        assert run(["verify", str(path), "--sign-a", "signed", "--sign-b", "signed"]) == 0
+        assert run(["verify", str(path)]) == 0
         assert "PASS (4 vectors, 0 failures)" in capsys.readouterr().out
 
-    def test_unequal_operand_widths(self, tmp_path, capsys):
-        # A hand-built 2x1 unsigned multiplier: P = (a0&b0, a1&b0, 0).
+    @staticmethod
+    def _m2x1(sign_a):
+        # A hand-built 2x1 multiplier: P = (a0&b0, a1&b0, 0).
         b = CircuitBuilder("m2x1")
-        a0, a1 = b.add_input("A", 2, Signedness.UNSIGNED)
+        a0, a1 = b.add_input("A", 2, sign_a)
         (b0,) = b.add_input("B", 1, Signedness.UNSIGNED)
         p0 = b.add_gate(GateKind.AND2, [a0, b0])
         p1 = b.add_gate(GateKind.AND2, [a1, b0])
-        b.add_output("P", [p0, p1, b.const0()], Signedness.UNSIGNED)
-        c = b.finalize()
+        b.add_output("P", [p0, p1, b.const0()], sign_a)
+        return b.finalize()
+
+    def test_unequal_operand_widths(self, tmp_path, capsys):
+        c = self._m2x1(Signedness.UNSIGNED)
         good, bad = tmp_path / "m2x1.json", tmp_path / "m2x1_mutant.json"
         good.write_text(to_json(c))
         bad.write_text(to_json(flip_gate(c, 0)))
@@ -261,8 +269,10 @@ class TestVerify:
         for mode in (["--exhaustive"], ["--random", "100"]):
             assert run(["verify", str(bad), *mode]) == 1
             assert "FAIL" in capsys.readouterr().out
-        # Read as signed, the 2-bit operand's MSB weighs -2: -2 * 1 is no 2.
-        assert run(["verify", str(good), "--sign-a", "signed"]) == 1
+        # With A signed, the 2-bit operand's MSB weighs -2: -2 * 1 is no 2.
+        signed_a = tmp_path / "m2x1_signed_a.json"
+        signed_a.write_text(to_json(self._m2x1(Signedness.SIGNED)))
+        assert run(["verify", str(signed_a)]) == 1
         assert capsys.readouterr().err == ""
 
     def test_exhaustive_width_cap_exits_2(self, tmp_path, capsys):
@@ -369,10 +379,21 @@ class TestCompare:
             metric, default, leaf4 = row.split(",")
             assert default == leaf4, metric
 
-def test_usage_error_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["gen", "--width", "8"])  # missing --arch and --out
-    assert exc.value.code == 2
+@pytest.mark.parametrize("argv, err", [
+    (["gen", "--width", "8"],
+     "gatemul gen: error: the following arguments are required: --arch, --out\n"),
+    # Operand signs come from the netlist file alone.
+    (["verify", "{dir}/bw4.json", "--sign-a", "signed"],
+     "gatemul: error: unrecognized arguments: --sign-a signed\n"),
+], ids=["gen_missing_arch_and_out", "verify_sign_a"])
+def test_usage_error_exits_2(tmp_path, argv, err):
+    (tmp_path / "bw4.json").write_text(to_json(baugh_wooley_multiplier(4)))
+    proc = _run_cli([a.format(dir=tmp_path) for a in argv])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: gatemul")
+    assert proc.stderr.endswith(err)
+    assert "Traceback" not in proc.stderr
 
 
 class TestRefusals:

@@ -590,16 +590,17 @@ class TestAnalysedOnce:
         compare([("bw", loaded[0]), ("booth4", loaded[1])], DelayModel.tech_demo())
         assert [id(c) for c in analysed] == [id(c) for c in loaded]
 
-    def test_verify_with_sign_override_analyses_once(self, analysed, tmp_path, capsys):
+    def test_verify_of_a_retagged_file_analyses_once(self, analysed, tmp_path, capsys):
         from gatemul.cli import main
         from gatemul.emit import to_json
         from gatemul.multipliers import mixed_sign_multiplier
 
+        # An unsigned array whose file marks every port signed.
         path = tmp_path / "a4.json"
-        path.write_text(to_json(mixed_sign_multiplier(4, U, U)))
+        text = to_json(mixed_sign_multiplier(4, U, U))
+        path.write_text(text.replace('"signed": false', '"signed": true'))
         analysed.clear()
-        assert main(["verify", str(path), "--exhaustive",
-                     "--sign-a", "signed", "--sign-b", "signed"]) == 1
+        assert main(["verify", str(path), "--exhaustive"]) == 1
         assert len(analysed) == 1
         capsys.readouterr()
 

@@ -68,6 +68,14 @@ class TestDelayModel:
         assert tech.delay_of[GateKind.XOR2] == Fraction(8, 5)
         assert tech.delay_of[GateKind.BUF] == Fraction(1, 2)
 
+    def test_delays_are_read_only(self):
+        m = DelayModel.unit()
+        with pytest.raises(TypeError):
+            m.delay_of[GateKind.AND2] = 100
+        assert m.delay_of[GateKind.AND2] == 1
+        assert critical_path(baugh_wooley_multiplier(4), m).critical_delay == 15
+        assert m == DelayModel("unit", dict(m.delay_of))
+
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown delay model"):
             DelayModel.by_name("finfet3")
