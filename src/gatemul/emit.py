@@ -221,8 +221,6 @@ def from_json(text: str) -> Circuit:
 
     inputs = [_load_port(p, f"inputs[{i}]") for i, p in enumerate(doc["inputs"])]
     outputs = [_load_port(p, f"outputs[{i}]") for i, p in enumerate(doc["outputs"])]
-    _expect(len({p.name for p in inputs}) == len(inputs), "inputs", "duplicate port name")
-    _expect(len({p.name for p in outputs}) == len(outputs), "outputs", "duplicate port name")
     _expect(bool(inputs), "inputs", "circuit must have >= 1 input port")
     _expect(bool(outputs), "outputs", "circuit must have >= 1 output port")
 

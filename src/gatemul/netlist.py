@@ -9,20 +9,20 @@ A :class:`Gate` is a named tuple: it equals and unpacks to its field tuple
 ``(kind, inputs, output)``, and ``gate._replace(kind=...)`` changes a field.
 
 Finalized circuits are immutable; analyses may share them freely across
-threads and key per-net tables by the dense net index.  Validation, the
-gate schedule and the depth in levels come from one structural analysis
-cached on each ``Circuit`` object (not a field, so equality, hashing and
-``repr`` ignore it).  The builder checks each call and records it at
-``finalize``; any other circuit (JSON, hand-built) gets the full census on
-first access, which a concurrent first access may compute twice.  The
-depth and static timing share one longest-path pass, :func:`_arrivals`,
-with different costs per gate kind.
+threads and key per-net tables by the dense net index.  Validation and
+the gate schedule come from one structural analysis cached on each
+``Circuit`` object (not a field, so equality, hashing and ``repr`` ignore
+it).  The builder checks each call and records it at ``finalize``; any
+other circuit (JSON, hand-built) gets the full census on first access,
+which a concurrent first access may compute twice.  The longest-path pass,
+:func:`_arrivals`, checks the gate order here; ``timing`` runs it for
+depth and static timing, with a cost per gate kind.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -108,6 +108,7 @@ class ViolationKind(Enum):
     UNDRIVEN_NET = "UndrivenNet"
     CYCLE = "Cycle"
     ARITY_MISMATCH = "ArityMismatch"
+    BAD_PORT = "BadPort"
 
 
 @dataclass(frozen=True)
@@ -122,25 +123,31 @@ class Violation:
 class _Analysis:
     """Structural facts about one circuit: from ``finalize`` or :func:`_analyse`.
 
-    ``schedule`` and ``depth`` are meaningful only when ``violations`` is
-    empty.  ``schedule`` is ``range(len(gates))`` when the gate list is
-    already in dependency order, as every builder circuit's is.
+    ``schedule``, meaningful only without violations, is ``range(len(gates))``
+    when the gate list is already in dependency order, as a builder circuit's is.
     """
 
     violations: tuple[Violation, ...]
     schedule: Sequence[int]
-    depth: int
 
 
 def _analyse(circuit: Circuit) -> _Analysis:
-    """Census of drivers and arities, then order the gates: a linear check
-    when they are already in order, Kahn's sort otherwise."""
+    """Census of ports, drivers and arities, then order the gates: a linear
+    check when they are already in order, Kahn's sort otherwise."""
     out: list[Violation] = []
     nc = circuit.net_count
     gates = circuit.gates
 
     def flag(kind: ViolationKind, what: str, **where) -> None:
         out.append(Violation(kind, f"{kind.value}: {what}", **where))
+
+    for direction, ports in (("input", circuit.inputs), ("output", circuit.outputs)):
+        for name, count in Counter(p.name for p in ports).items():
+            if count > 1:
+                flag(ViolationKind.BAD_PORT, f"{count} {direction} ports are named {name!r}")
+        for p in ports:
+            if not p.bits:
+                flag(ViolationKind.BAD_PORT, f"{direction} port {p.name!r} has no bits")
 
     for gi, g in enumerate(gates):
         want = g.kind.arity
@@ -171,8 +178,7 @@ def _analyse(circuit: Circuit) -> _Analysis:
         flag(ViolationKind.UNDRIVEN_NET, f"net {net} is referenced but never driven", net=net)
 
     schedule: Sequence[int] = range(len(gates))
-    arrival = None if out else _arrivals(circuit, schedule, _LEVELS)
-    if arrival is None:
+    if out or _arrivals(circuit, schedule, _LEVELS) is None:
         # Not in order (or not well formed): Kahn's sort over the gate graph.
         driver_gate = {g.output: gi for gi, g in enumerate(gates)
                        if 0 <= g.output < nc and drivers[g.output] == 1}
@@ -197,9 +203,7 @@ def _analyse(circuit: Circuit) -> _Analysis:
             stuck = [gi for gi in range(len(gates)) if indeg[gi] > 0]
             flag(ViolationKind.CYCLE, f"gates {stuck} form a combinational loop",
                  gate_index=stuck[0] if stuck else None)
-        if not out:
-            arrival = _arrivals(circuit, schedule, _LEVELS)
-    return _Analysis(tuple(out), schedule, _latest_output(circuit, arrival) if arrival else 0)
+    return _Analysis(tuple(out), schedule)
 
 
 # Gate levels as a cost per kind: only CONST gates have no inputs, and they
@@ -232,17 +236,12 @@ def _arrivals(
     return arrival
 
 
-def _latest_output(circuit: Circuit, arrival: Sequence[int]) -> int:
-    """The latest of ``arrival`` over every output-port bit; 0 without one."""
-    return max((arrival[net] for p in circuit.outputs for net in p.bits), default=0)
-
-
 def validate(circuit: Circuit) -> list[Violation]:
     """Check the structural invariants; returns one entry per violation.
 
     Violations are data, not exceptions: an empty list means the circuit is
-    well formed (every net singly driven, all references resolved, gate
-    graph acyclic, arities correct).
+    well formed (ports non-empty and named once per direction, every net singly
+    driven, all references resolved, gate graph acyclic, arities correct).
     """
     return list(circuit._analysis.violations)
 
@@ -415,8 +414,8 @@ class CircuitBuilder:
         return self._const1
 
     def finalize(self) -> Circuit:
-        """Freeze the circuit; its analysis is the gate order plus one
-        longest-path pass, as the per-call checks leave no violation."""
+        """Freeze the circuit; its analysis is the gate order as built, as
+        the per-call checks leave no violation."""
         self._check_open()
         if not self._inputs or not self._outputs:
             raise NetlistError("circuit must have >= 1 input and >= 1 output port")
@@ -427,8 +426,6 @@ class CircuitBuilder:
             gates=tuple(self._gates),
             net_count=self._net_count,
         )
-        schedule = range(len(circuit.gates))
-        depth = _latest_output(circuit, _arrivals(circuit, schedule, _LEVELS))
-        circuit.__dict__["_analysis"] = _Analysis((), schedule, depth)
+        circuit.__dict__["_analysis"] = _Analysis((), range(len(circuit.gates)))
         self._done = True
         return circuit

@@ -5,10 +5,10 @@ comparisons behave algebraically: a model whose every gate delay is k times
 another's has exactly k times its critical delay and the same witness path.
 STA runs as one pass over integers: each model scales its delays by their
 common denominator, and results are converted back, so they are still
-exact rationals.  That pass is the netlist's longest-path pass, which also
-gives the depth in gate levels with a cost of one level per non-constant
-gate.  Timing is purely topological -- no input-dependent or false-path
-analysis -- which is what a synthesis report's "path delay" measures.
+exact rationals.  That pass is the netlist's longest-path pass; :func:`depth`
+runs it when asked, with a cost of one level per non-constant gate.  Timing
+is purely topological -- no input-dependent or false-path analysis -- which
+is what a synthesis report's "path delay" measures.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import csv
 
 from .netlist import (
-    Circuit, Gate, GateKind, NetId, _LEVELS, _arrivals, _latest_output, _require_valid,
+    Circuit, Gate, GateKind, NetId, _LEVELS, _arrivals, _require_valid,
 )
 
 DelayLike = int | float | str | Fraction
@@ -115,6 +115,11 @@ def arrival_times(circuit: Circuit, model: DelayModel) -> dict[NetId, Fraction]:
     return {net: exact[arrival[net]] for net in nets}
 
 
+def _latest_output(circuit: Circuit, arrival: Sequence[int]) -> int:
+    """The latest of ``arrival`` over every output-port bit; 0 without one."""
+    return max((arrival[net] for p in circuit.outputs for net in p.bits), default=0)
+
+
 @dataclass(frozen=True)
 class TimingReport:
     model_name: str
@@ -169,7 +174,7 @@ def area_report(circuit: Circuit) -> AreaReport:
 
 def depth(circuit: Circuit) -> int:
     """Depth in gate levels (= critical delay under the unit model)."""
-    return _require_valid(circuit).depth
+    return _latest_output(circuit, _arrivals(circuit, _require_valid(circuit).schedule, _LEVELS))
 
 
 def _fmt(x: Fraction) -> str:

@@ -199,7 +199,7 @@ def _oracle(a_vals: np.ndarray, b_vals: np.ndarray, spec: MultiplierSpec) -> np.
     return a_vals.astype(object) * b_vals.astype(object)
 
 
-def _run(circuit: Circuit, spec: MultiplierSpec, a_vals, b_vals, sort_failures: bool):
+def _run(circuit: Circuit, spec: MultiplierSpec, a_vals, b_vals):
     import numpy as np
 
     pa, pb, po = _ports(circuit, spec)
@@ -207,9 +207,8 @@ def _run(circuit: Circuit, spec: MultiplierSpec, a_vals, b_vals, sort_failures: 
     out = evaluate_vector_array(circuit, {pa.name: a_vals, pb.name: b_vals})
     actual = out[po.name]
     bad = np.flatnonzero(actual != expected)
-    if sort_failures:
-        # Stable, so equal (a, b) pairs keep vector order.
-        bad = bad[np.lexsort((b_vals[bad], a_vals[bad]))]
+    # Sorted by (A, B); stable, so equal pairs keep vector order.
+    bad = bad[np.lexsort((b_vals[bad], a_vals[bad]))]
     return _Failures(
         (pa.name, pb.name), a_vals[bad], b_vals[bad], expected[bad], actual[bad]
     )
@@ -231,7 +230,7 @@ def verify_exhaustive(circuit: Circuit, spec: MultiplierSpec) -> VerifyReport:
     b_range = np.arange(lo_b, hi_b + 1, dtype=np.int64)
     a_vals = np.repeat(a_range, len(b_range))
     b_vals = np.tile(b_range, len(a_range))
-    failures = _run(circuit, spec, a_vals, b_vals, sort_failures=False)
+    failures = _run(circuit, spec, a_vals, b_vals)
     return VerifyReport(mode="exhaustive", total_vectors=len(a_vals), failures=failures)
 
 
@@ -308,7 +307,7 @@ def verify_random(
         np.array(corner_b, dtype=port_dtype(spec.width_b, spec.sign_b)),
         _draw(rng, spec.width_b, spec.sign_b, count),
     ])
-    failures = _run(circuit, spec, a_vals, b_vals, sort_failures=True)
+    failures = _run(circuit, spec, a_vals, b_vals)
     return VerifyReport(
         mode="random",
         total_vectors=len(a_vals),

@@ -169,6 +169,16 @@ class TestVerify:
         assert proc.stderr.startswith("error: not valid JSON: ")
         assert proc.stderr.count("\n") == 1
 
+    def test_duplicate_input_names_exit_2(self, tmp_path, capsys):
+        doc = json.loads(to_json(baugh_wooley_multiplier(4)))
+        doc["inputs"][1]["name"] = "A"
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(doc))
+        assert run(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invalid netlist: BadPort: 2 input ports are named 'A'\n"
+
     def test_negative_seed_rejected_by_parser(self, tmp_path, capsys):
         out = tmp_path / "bw4.json"
         run(["gen", "--arch", "bw", "--width", "4", "--out", str(out)])

@@ -294,6 +294,14 @@ class TestJsonErrors:
                                match=rf"^net_count: {count} exceeds the 8 nets"):
                 from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("key, word", [("inputs", "input"), ("outputs", "output")])
+    def test_port_list_must_not_be_empty(self, key, word):
+        doc = json.loads(to_json(baugh_wooley_multiplier(4)))
+        doc[key] = []
+        with pytest.raises(JsonFormatError,
+                           match=rf"^{key}: circuit must have >= 1 {word} port$"):
+            from_json(json.dumps(doc))
+
     def test_undriven_reference_rejected(self):
         doc = json.loads(to_json(baugh_wooley_multiplier(4)))
         doc["outputs"][0]["bits"][0] = doc["net_count"] + 5

@@ -398,6 +398,33 @@ def test_arity_violation_in_validate():
     assert ViolationKind.ARITY_MISMATCH in kinds
 
 
+_A, _B, _Y = Port("A", (0,), U), Port("B", (1,), U), Port("Y", (2,), U)
+
+
+@pytest.mark.parametrize("inputs, outputs, message", [
+    ((_A, Port("A", (1,), U)), (_Y,), "BadPort: 2 input ports are named 'A'"),
+    ((_A, _B), (_Y, Port("Y", (1,), U)), "BadPort: 2 output ports are named 'Y'"),
+    ((_A, _B, Port("E", (), U)), (_Y,), "BadPort: input port 'E' has no bits"),
+    ((_A, _B), (_Y, Port("E", (), S)), "BadPort: output port 'E' has no bits"),
+], ids=["duplicate_input", "duplicate_output", "empty_input", "empty_output"])
+def test_bad_ports_fail_validate(inputs, outputs, message):
+    """A hand-built circuit whose ports ``from_json`` would refuse is invalid:
+    no simulation feeds one value to two ports, and no emitter writes it."""
+    from gatemul.emit import to_json, to_verilog
+    from gatemul.sim import evaluate_batch, evaluate_vector_array
+
+    c = Circuit("bad", inputs, outputs, (Gate(GateKind.NOT, (0,), 2),), 3)
+    assert [(v.kind, v.message) for v in validate(c)] == [(ViolationKind.BAD_PORT, message)]
+    zeros = {p.name: 0 for p in c.inputs}
+    for call in (lambda: evaluate(c, zeros),
+                 lambda: evaluate_batch(c, [zeros]),
+                 lambda: evaluate_vector_array(c, {name: [0] for name in zeros}),
+                 lambda: to_json(c),
+                 lambda: to_verilog(c)):
+        with pytest.raises(ValidationError, match=f"^circuit 'bad' is invalid: {message}$"):
+            call()
+
+
 def test_builder_gates_topologically_ordered():
     rng = random.Random(7)
     for _ in range(25):
@@ -519,12 +546,15 @@ def _finalize_analysis_matches_census(circuit):
     import dataclasses
 
     import gatemul.netlist as netlist
+    from gatemul.timing import DelayModel, critical_path, depth
 
     recorded = circuit.__dict__["_analysis"]
-    censused = netlist._analyse(dataclasses.replace(circuit))
+    twin = dataclasses.replace(circuit)
+    censused = netlist._analyse(twin)
     assert censused.violations == recorded.violations == ()
     assert list(censused.schedule) == list(recorded.schedule)
-    assert censused.depth == recorded.depth
+    unit = critical_path(circuit, DelayModel.unit()).critical_delay
+    assert depth(circuit) == depth(twin) == unit
 
 
 def test_finalize_records_what_the_census_computes():

@@ -24,7 +24,7 @@ from gatemul.timing import (
 )
 
 from oracles import longest_path_delay, random_circuit
-from test_multipliers import _digest_key, _digest_specs
+from test_multipliers import _digest_key, _digest_specs, _digest_specs_64
 
 U = Signedness.UNSIGNED
 S = Signedness.SIGNED
@@ -220,9 +220,9 @@ class TestCriticalPath:
         assert d.denominator == 1
         assert depth(c) == d
 
-        # depth() comes from the level count of the structural analysis, not
-        # from STA; both must agree on every generator, on the Kahn path
-        # (a reversed gate list), and on outputs driven straight by CONST.
+        # depth() runs the longest-path pass on the level table, STA on the
+        # unit model's ticks; both must agree on every generator, on the Kahn
+        # path (a reversed gate list), and on outputs driven straight by CONST.
         def agree(circ):
             assert depth(circ) == critical_path(circ, UNIT).critical_delay
 
@@ -256,6 +256,11 @@ class TestCriticalPath:
                 _random_model(rng)
             agree(circ)
             assert depth(circ) == longest_path_delay(circ, UNIT)
+
+    def test_depth_is_the_unit_critical_delay_on_every_digest_spec(self):
+        for spec in [*_digest_specs(), *_digest_specs_64()]:
+            c = generate(spec)
+            assert depth(c) == depth(_reversed(c)) == critical_path(c, UNIT).critical_delay
 
     def test_witness_is_connected(self):
         c = baugh_wooley_multiplier(8)
