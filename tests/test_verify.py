@@ -238,6 +238,24 @@ class TestDraws:
         mid = (lo + hi) // 2
         assert any(v < mid for v in got) and any(v > mid for v in got)
 
+    @pytest.mark.parametrize("width, sign, digest", [
+        (65, S, "151c8f9d1b93e9ddf63ac7d27aaa9f871fc303bd703d8b180048e72c36d88ad5"),
+        (65, U, "0dd3282e3404dc255fc338f6231b0dd58b70c8cd331d47e47e66eaa555aa1e9f"),
+        (100, S, "a6f9196671b82754dfe59740b5dbfeea8670901280482fe60aa771c319636482"),
+        (100, U, "13f89bed60a3b3fa9e0caaca62fbae46eb822b97a09e5b9393a6f558eb192a05"),
+        (128, S, "544ab4f154b2156fe34e4291edc5e15f71ecbdd9cf0f4e60048c6670656e27dc"),
+        (128, U, "1ba030cf51c27496905a34c09330fd12632b00dd851f2b3ab8ece6f6dd4bfede"),
+        (129, S, "a6285a2c5f20cdb8b5d32a504568b0b9ee556a47d5d904c85cdda548d03204da"),
+        (129, U, "a15f8b41c1d6ad704c263061397ab2b8c13688bf861bf6c464eb83cc11522c96"),
+        (256, S, "c174e5f1f16793d01c9d656cb456d5aab79a8f6c18346574e23cb299f5cb359c"),
+        (256, U, "b91abd9cbc8aad73b32be5483baafc87ee6d4df907e29dc4e606ec8ee5ff9f48"),
+    ])
+    def test_wide_draws_pinned(self, width, sign, digest):
+        """1000 draws each from seeds 3 and 2024 match earlier releases."""
+        draws = [_draw(np.random.default_rng(seed), width, sign, 1000).tolist()
+                 for seed in (3, 2024)]
+        assert _sha256(repr(draws)) == digest
+
 
 class TestPinnedSeed:
     """Draws and report text for int64 ranges match earlier releases."""
