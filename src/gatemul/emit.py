@@ -187,7 +187,7 @@ def _load_port(doc, where: str) -> Port:
         _expect(key in doc, where, f"missing field {key!r}")
     name, width, signed, bits = doc["name"], doc["width"], doc["signed"], doc["bits"]
     _expect(isinstance(name, str) and name != "", where, "name must be a non-empty string")
-    _expect(_is_nonneg_int(width) and width >= 1, where, "width must be a positive integer")
+    _expect(_is_nonneg_int(width), where, "width must be a non-negative integer")
     _expect(isinstance(signed, bool), where, "signed must be a boolean")
     _expect(isinstance(bits, list), where, "bits must be an array")
     _expect(len(bits) == width, where, f"bits length {len(bits)} != width {width}")
@@ -221,8 +221,6 @@ def from_json(text: str) -> Circuit:
 
     inputs = [_load_port(p, f"inputs[{i}]") for i, p in enumerate(doc["inputs"])]
     outputs = [_load_port(p, f"outputs[{i}]") for i, p in enumerate(doc["outputs"])]
-    _expect(bool(inputs), "inputs", "circuit must have >= 1 input port")
-    _expect(bool(outputs), "outputs", "circuit must have >= 1 output port")
 
     kinds = {k.value: k for k in GateKind}
     gates = []

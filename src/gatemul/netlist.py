@@ -142,12 +142,17 @@ def _analyse(circuit: Circuit) -> _Analysis:
         out.append(Violation(kind, f"{kind.value}: {what}", **where))
 
     for direction, ports in (("input", circuit.inputs), ("output", circuit.outputs)):
+        if not ports:
+            flag(ViolationKind.BAD_PORT, f"circuit has no {direction} port")
         for name, count in Counter(p.name for p in ports).items():
             if count > 1:
                 flag(ViolationKind.BAD_PORT, f"{count} {direction} ports are named {name!r}")
         for p in ports:
             if not p.bits:
                 flag(ViolationKind.BAD_PORT, f"{direction} port {p.name!r} has no bits")
+            if not isinstance(p.signedness, Signedness):
+                flag(ViolationKind.BAD_PORT, f"{direction} port {p.name!r} signedness "
+                     f"must be a Signedness, got {p.signedness!r}")
 
     for gi, g in enumerate(gates):
         want = g.kind.arity
@@ -169,13 +174,15 @@ def _analyse(circuit: Circuit) -> _Analysis:
     for net, count in enumerate(drivers):
         if count > 1:
             flag(ViolationKind.MULTIPLE_DRIVERS, f"net {net} has {count} drivers", net=net)
+        elif not count:
+            undriven.add(net)
 
     for bits in chain((g.inputs for g in gates), (p.bits for p in circuit.outputs)):
         for net in bits:
-            if not (0 <= net < nc and drivers[net]):
+            if not 0 <= net < nc:
                 undriven.add(net)
     for net in sorted(undriven):
-        flag(ViolationKind.UNDRIVEN_NET, f"net {net} is referenced but never driven", net=net)
+        flag(ViolationKind.UNDRIVEN_NET, f"net {net} is never driven", net=net)
 
     schedule: Sequence[int] = range(len(gates))
     if out or _arrivals(circuit, schedule, _LEVELS) is None:
@@ -240,8 +247,9 @@ def validate(circuit: Circuit) -> list[Violation]:
     """Check the structural invariants; returns one entry per violation.
 
     Violations are data, not exceptions: an empty list means the circuit is
-    well formed (ports non-empty and named once per direction, every net singly
-    driven, all references resolved, gate graph acyclic, arities correct).
+    well formed (at least one input and one output port, ports non-empty,
+    named once per direction and of ``Signedness``, every net driven exactly
+    once, all references resolved, gate graph acyclic, arities correct).
     """
     return list(circuit._analysis.violations)
 

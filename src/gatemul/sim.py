@@ -336,8 +336,7 @@ def evaluate_vector_array(
     packed into bit lanes and pushed through the netlist in chunks of
     ``_CHUNK`` (65,536); results do not depend on the chunking.  Each
     output is an int64 array when its port's range fits in int64, else an
-    object array of exact Python ints.  A circuit without input ports gives no
-    vector count and is refused with ``ValueError``.
+    object array of exact Python ints.
     """
     import numpy as np
 
@@ -373,8 +372,6 @@ def evaluate_vector_array(
                 f"[{lo}, {hi}] for port {port.name!r}"
             )
         arrays[port.name] = arr.astype(port_dtype(port.width, port.signedness), copy=False)
-    if n is None:
-        raise ValueError("circuit has no input port, so no vector count")
     out = {p.name: np.empty(n, port_dtype(p.width, p.signedness)) for p in circuit.outputs}
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
@@ -396,15 +393,12 @@ def evaluate_batch(
     vectors: Sequence[Mapping[str, int]],
 ) -> list[dict[str, int]]:
     """Apply :func:`evaluate` to each assignment, order preserved."""
-    if not vectors:
-        return []
+    _program(circuit)  # an invalid circuit is refused before its vectors
     for idx, vec in enumerate(vectors):
         try:
             _check_names(circuit, vec.keys())
         except ValueError as exc:
             raise ValueError(f"vector {idx}: {exc}") from None
-    if not circuit.inputs:
-        return [evaluate(circuit, vec) for vec in vectors]
     arrays = {p.name: [vec[p.name] for vec in vectors] for p in circuit.inputs}
     out = evaluate_vector_array(circuit, arrays)
     return [{name: int(col[i]) for name, col in out.items()} for i in range(len(vectors))]

@@ -116,8 +116,8 @@ def arrival_times(circuit: Circuit, model: DelayModel) -> dict[NetId, Fraction]:
 
 
 def _latest_output(circuit: Circuit, arrival: Sequence[int]) -> int:
-    """The latest of ``arrival`` over every output-port bit; 0 without one."""
-    return max((arrival[net] for p in circuit.outputs for net in p.bits), default=0)
+    """The latest of ``arrival`` over every output-port bit."""
+    return max(arrival[net] for p in circuit.outputs for net in p.bits)
 
 
 @dataclass(frozen=True)

@@ -249,32 +249,21 @@ def _draw(rng: np.random.Generator, width: int, signedness, count: int) -> np.nd
     """``count`` uniform draws from the range of one operand port.
 
     A range that fits in int64 is drawn as ``rng.integers(lo, hi,
-    dtype=np.int64, endpoint=True)``.  A wider range of span ``hi - lo``
-    with ``k`` bits is drawn as ``ceil(k / 64)`` uint64 limbs per value
-    (least significant first; all limbs of a value come from one row of a
-    ``(m, limbs)`` uint64 draw), the top limb masked to the remaining bits.
-    Values above the span are rejected and the shortfall is drawn again;
-    ``lo`` is then added.  For 64-bit unsigned this is one unmasked uint64
-    per value, and nothing is ever rejected.
+    dtype=np.int64, endpoint=True)``.  A wider range spans ``2**width``
+    values: it is drawn as one ``(count, ceil(width / 64))`` uint64 array,
+    a row per value with its least significant limb first and the top limb
+    masked to the remaining bits, and ``lo`` is then added.  For 64-bit
+    unsigned this is one unmasked uint64 per value.
     """
     import numpy as np
 
     lo, hi = value_range(width, signedness)
     if fits_int64(lo, hi):
         return rng.integers(lo, hi, size=count, dtype=np.int64, endpoint=True)
-    span = hi - lo
-    nlimbs = -(-span.bit_length() // 64)
-    top_mask = np.uint64((1 << (span.bit_length() - 64 * (nlimbs - 1))) - 1)
-    vals = np.zeros(0, dtype=object)
-    while len(vals) < count:
-        words = rng.integers(
-            0, (1 << 64) - 1, size=(count - len(vals), nlimbs),
-            dtype=np.uint64, endpoint=True,
-        )
-        words[:, -1] &= top_mask
-        cand = _ints_from_limbs(words)
-        vals = np.concatenate([vals, cand[cand <= span]])
-    return vals + lo
+    nlimbs = -(-width // 64)
+    words = rng.integers(0, (1 << 64) - 1, size=(count, nlimbs), dtype=np.uint64, endpoint=True)
+    words[:, -1] &= np.uint64((1 << (width - 64 * (nlimbs - 1))) - 1)
+    return _ints_from_limbs(words) + lo
 
 
 def verify_random(

@@ -19,10 +19,14 @@ from gatemul.multipliers import (
     generate,
     mixed_sign_multiplier,
 )
-from gatemul.netlist import Circuit, CircuitBuilder, Gate, GateKind, Port, Signedness
+from gatemul.netlist import (
+    Circuit, CircuitBuilder, Gate, GateKind, Port, Signedness, ValidationError, validate,
+)
 from gatemul.sim import evaluate, evaluate_batch, evaluate_vector_array, value_range
+from gatemul.timing import DelayModel, critical_path, depth
 from gatemul.verify import boundary_values
 
+import test_sim
 from oracles import read_verilog
 from test_multipliers import _digest_specs
 
@@ -243,6 +247,27 @@ class TestJsonRoundTrip:
         assert np.array_equal(out1["P"], out2["P"])
 
 
+def _document(c: Circuit) -> str:
+    """The JSON document of ``c`` written field by field, without the
+    validation that :func:`to_json` makes first."""
+    def port(p):
+        return {"name": p.name, "width": len(p.bits), "signed": p.signedness is S,
+                "bits": list(p.bits)}
+    return json.dumps({
+        "name": c.name,
+        "net_count": c.net_count,
+        "inputs": [port(p) for p in c.inputs],
+        "outputs": [port(p) for p in c.outputs],
+        "gates": [{"kind": g.kind.value, "inputs": list(g.inputs), "output": g.output}
+                  for g in c.gates],
+    }, indent=2) + "\n"
+
+
+_NOT_A = (Gate(GateKind.NOT, (0,), 1),)
+_NO_INPUT = test_sim.TestNoInputPorts.CONST
+_NO_OUTPUT = Circuit("n", (Port("A", (0,), U),), (), _NOT_A, 2)
+
+
 class TestJsonErrors:
     def test_truncated_document(self):
         text = to_json(baugh_wooley_multiplier(4))[:100]
@@ -294,12 +319,18 @@ class TestJsonErrors:
                                match=rf"^net_count: {count} exceeds the 8 nets"):
                 from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("key, word", [("inputs", "input"), ("outputs", "output")])
-    def test_port_list_must_not_be_empty(self, key, word):
-        doc = json.loads(to_json(baugh_wooley_multiplier(4)))
-        doc[key] = []
+    @pytest.mark.parametrize("circuit, word", [(_NO_INPUT, "input"), (_NO_OUTPUT, "output")],
+                             ids=["inputs-input", "outputs-output"])
+    def test_port_list_must_not_be_empty(self, circuit, word):
         with pytest.raises(JsonFormatError,
-                           match=rf"^{key}: circuit must have >= 1 {word} port$"):
+                           match=rf"^invalid netlist: BadPort: circuit has no {word} port$"):
+            from_json(_document(circuit))
+
+    def test_zero_width_port_rejected(self):
+        doc = json.loads(to_json(_fa_circuit()))
+        doc["inputs"].append({"name": "e", "width": 0, "signed": False, "bits": []})
+        with pytest.raises(JsonFormatError,
+                           match=r"^invalid netlist: BadPort: input port 'e' has no bits$"):
             from_json(json.dumps(doc))
 
     def test_undriven_reference_rejected(self):
@@ -307,6 +338,56 @@ class TestJsonErrors:
         doc["outputs"][0]["bits"][0] = doc["net_count"] + 5
         with pytest.raises(JsonFormatError):
             from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("c, valid", [
+    (_NO_INPUT, False),
+    (_NO_OUTPUT, False),
+    # Net 2 is driven by nothing and read by nothing.
+    (Circuit("n", (Port("A", (0,), U),), (Port("Y", (1,), U),), _NOT_A, 3), False),
+    (Circuit("n", (Port("A", (0,), "signed"),), (Port("Y", (1,), U),), _NOT_A, 2), False),
+    (Circuit("w", (Port("A", (0, 1), S),), (Port("Y", (2, 0, 1), S),),
+             (Gate(GateKind.NOT, (0,), 2),), 3), True),
+    (Circuit("n", (Port("X", (0,), U),), (Port("X", (1,), U),), _NOT_A, 2), True),
+    (Circuit("2 bits!", (Port("a b", (0,), U),), (Port("module", (1,), S),), _NOT_A, 2), True),
+], ids=["no_input", "no_output", "spare_net", "string_signedness",
+        "output_bit_is_input_bit", "input_and_output_share_a_name", "non_identifier_names"])
+class TestOneValidityRule:
+    """Whatever ``validate`` accepts, every layer runs and JSON reproduces;
+    whatever it refuses, every layer refuses with ``ValidationError``."""
+
+    def test_validates_exactly_when_it_round_trips(self, c, valid):
+        try:
+            round_trips = from_json(_document(c)) == c
+        except JsonFormatError:
+            round_trips = False
+        assert (validate(c) == []) == round_trips == valid
+        if valid:
+            assert to_json(c) == _document(c)
+
+    def test_every_layer_runs_it_or_refuses_it(self, c, valid):
+        zeros = {p.name: 0 for p in c.inputs}
+        calls = [
+            lambda: evaluate(c, zeros),
+            lambda: evaluate_batch(c, [zeros])[0],
+            lambda: {k: int(v[0]) for k, v in
+                     evaluate_vector_array(c, {k: [v] for k, v in zeros.items()}).items()},
+            lambda: depth(c),
+            lambda: critical_path(c, DelayModel.unit()).critical_delay,
+            lambda: to_verilog(c),
+            lambda: to_json(c),
+        ]
+        if valid:
+            got = [call() for call in calls]
+            assert got[0] == got[1] == got[2]
+            assert got[3] == got[4]
+        else:
+            # Even a batch that names no port, or no vector at all.
+            calls += [lambda: evaluate_batch(c, [{"no such port": 0}]),
+                      lambda: evaluate_batch(c, [])]
+            for call in calls:
+                with pytest.raises(ValidationError, match=r"^circuit '\w+' is invalid: "):
+                    call()
 
 
 @pytest.mark.skipif(shutil.which("iverilog") is None, reason="iverilog not installed")

@@ -371,6 +371,15 @@ def test_undriven_net_detected():
     assert v[0].net == 1
 
 
+def test_spare_net_detected():
+    # Net 2 is read by nothing, but net_count still claims it.
+    c = Circuit("n", (Port("A", (0,), U),), (Port("Y", (1,), U),),
+                (Gate(GateKind.NOT, (0,), 1),), 3)
+    assert [(v.kind, v.message, v.net) for v in validate(c)] == [
+        (ViolationKind.UNDRIVEN_NET, "UndrivenNet: net 2 is never driven", 2)
+    ]
+
+
 def test_cycle_detected():
     c = Circuit(
         name="loop",
@@ -406,7 +415,13 @@ _A, _B, _Y = Port("A", (0,), U), Port("B", (1,), U), Port("Y", (2,), U)
     ((_A, _B), (_Y, Port("Y", (1,), U)), "BadPort: 2 output ports are named 'Y'"),
     ((_A, _B, Port("E", (), U)), (_Y,), "BadPort: input port 'E' has no bits"),
     ((_A, _B), (_Y, Port("E", (), S)), "BadPort: output port 'E' has no bits"),
-], ids=["duplicate_input", "duplicate_output", "empty_input", "empty_output"])
+    ((Port("A", (0,), "signed"), _B), (_Y,),
+     "BadPort: input port 'A' signedness must be a Signedness, got 'signed'"),
+    ((_A, _B), (Port("Y", (2,), True),),
+     "BadPort: output port 'Y' signedness must be a Signedness, got True"),
+    ((_A, _B), (), "BadPort: circuit has no output port"),
+], ids=["duplicate_input", "duplicate_output", "empty_input", "empty_output",
+        "string_signedness", "bool_signedness", "no_output"])
 def test_bad_ports_fail_validate(inputs, outputs, message):
     """A hand-built circuit whose ports ``from_json`` would refuse is invalid:
     no simulation feeds one value to two ports, and no emitter writes it."""

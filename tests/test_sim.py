@@ -248,16 +248,19 @@ class TestInvalidCircuits:
 
 
 class TestNoInputPorts:
-    """A valid circuit without input ports: a constant output."""
+    """A circuit without input ports, a constant output, is invalid."""
 
     CONST = Circuit("k", (), (Port("P", (0,), U),), (Gate(GateKind.CONST1, (), 0),), 1)
+    REFUSED = "^circuit 'k' is invalid: BadPort: circuit has no input port$"
 
     def test_scalar_and_batch_evaluate(self):
-        assert evaluate(self.CONST, {}) == {"P": 1}
-        assert evaluate_batch(self.CONST, [{}, {}]) == [{"P": 1}, {"P": 1}]
+        for call in (lambda: evaluate(self.CONST, {}),
+                     lambda: evaluate_batch(self.CONST, [{}, {}])):
+            with pytest.raises(ValidationError, match=self.REFUSED):
+                call()
 
     def test_vector_array_refuses_without_a_vector_count(self):
-        with pytest.raises(ValueError, match="no input port, so no vector count"):
+        with pytest.raises(ValidationError, match=self.REFUSED):
             evaluate_vector_array(self.CONST, {})
 
 
