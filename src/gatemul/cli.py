@@ -4,7 +4,8 @@ Exit codes are a stable scripting contract: 0 success, 1 verification
 failure, 2 usage or input error.  Commands raise on an input they refuse,
 and :func:`main` is the one place that maps a refusal to exit 2.  A reader
 that closes stdout early (as ``| head`` does) changes neither: the rest of
-the output is dropped.
+the output is dropped.  A stdout that cannot be written otherwise (a full
+disk) is a refusal: exit 2 with one ``error: cannot write stdout`` line.
 """
 
 from __future__ import annotations
@@ -61,15 +62,18 @@ def _make_spec(
 def _print(text: str, end: str = "\n") -> None:
     """Write one command's output to stdout and flush it.
 
-    If the reader has closed the pipe, stdout is pointed at the null device,
-    so that neither this write nor the interpreter's flush at exit fails.
+    If the write fails, stdout is pointed at the null device, so that the
+    interpreter's flush at exit cannot fail again.  A closed pipe then ends
+    the output quietly; any other write error raises ``ValueError``.
     """
     try:
         print(text, end=end, flush=True)
-    except BrokenPipeError:
+    except OSError as exc:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            raise ValueError(f"cannot write stdout: {exc}") from exc
 
 
 def _cmd_gen(args) -> int:
@@ -166,8 +170,18 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Writes ``--help`` with :func:`_print`, as every command writes."""
+
+    def print_help(self, file=None) -> None:
+        if file is None:
+            _print(self.format_help(), end="")
+        else:
+            super().print_help(file)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gatemul",
         description="Generate, verify, and compare gate-level multiplier netlists.",
     )
@@ -209,18 +223,14 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command; return its exit code.
 
     The one place that maps a refused input to exit 2: a ``ValueError``
-    from a command, or an ``OverflowError``/``MemoryError`` from a size too
-    large to build or verify.  Other exceptions are bugs and keep their
-    traceback.  ``gen`` and ``compare`` pause the cyclic GC, which frees
-    none of their acyclic gates; ``verify`` does not, as a pause there
-    keeps numpy's import garbage and raises peak RSS."""
+    from a command or from writing stdout (``--help`` included), or an
+    ``OverflowError``/``MemoryError`` from a size too large to build or
+    verify.  Other exceptions are bugs and keep their traceback.  ``gen``
+    and ``compare`` pause the cyclic GC, which frees none of their acyclic
+    gates; ``verify`` does not, as a pause there keeps numpy's import
+    garbage and raises peak RSS."""
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit:
-        # argparse has printed --help (or a usage error) and exits here.
-        _print("", end="")
-        raise
-    try:
         if args.command not in ("gen", "compare") or not gc.isenabled():
             return args.func(args)
         gc.disable()

@@ -30,12 +30,22 @@ from .netlist import (
     validate,
 )
 
-_VERILOG_KEYWORDS = {
-    "module", "endmodule", "input", "output", "inout", "wire", "reg",
-    "assign", "begin", "end", "always", "initial", "signed", "integer",
-    "parameter", "localparam", "not", "and", "or", "nand", "nor", "xor",
-    "xnor", "buf", "case", "endcase", "if", "else", "for", "while",
-}
+# The reserved words of IEEE 1364-2005, Annex B.
+_VERILOG_KEYWORDS = frozenset("""
+    always and assign automatic begin buf bufif0 bufif1 case casex casez cell
+    cmos config deassign default defparam design disable edge else end endcase
+    endconfig endfunction endgenerate endmodule endprimitive endspecify
+    endtable endtask event for force forever fork function generate genvar
+    highz0 highz1 if ifnone incdir include initial inout input instance integer
+    join large liblist library localparam macromodule medium module nand
+    negedge nmos nor noshowcancelled not notif0 notif1 or output parameter pmos
+    posedge primitive pull0 pull1 pulldown pullup pulsestyle_ondetect
+    pulsestyle_onevent rcmos real realtime reg release repeat rnmos rpmos
+    rtran rtranif0 rtranif1 scalared showcancelled signed small specify
+    specparam strong0 strong1 supply0 supply1 table task time tran tranif0
+    tranif1 tri tri0 tri1 triand trior trireg unsigned use uwire vectored wait
+    wand weak0 weak1 while wire wor xnor xor
+""".split())
 
 _NETNAME_RE = re.compile(r"n\d+\Z")
 
@@ -71,20 +81,22 @@ _GATE_EXPR = {
 def to_verilog(circuit: Circuit) -> str:
     """Structural Verilog: one module, one continuous assignment per gate.
 
+    Each port gets its own name, in port order (inputs, then outputs).
     Net naming (``n<index>``) and line order are functions of the circuit
     alone, so emission is byte-identical across runs.
     """
     _require_valid(circuit)
     taken: set[str] = set()
     module = _sanitize(circuit.name, set())
-    port_name = {}
-    for p in (*circuit.inputs, *circuit.outputs):
-        port_name[p] = _sanitize(p.name, taken)
-
-    ref: dict[int, str] = {}
-    for p in circuit.inputs:
-        for i, net in enumerate(p.bits):
-            ref[net] = port_name[p] if p.width == 1 else f"{port_name[p]}[{i}]"
+    # Per port, in port order: direction, port, name, reference of each bit.
+    ports = []
+    for direction, group in (("input", circuit.inputs), ("output", circuit.outputs)):
+        for p in group:
+            name = _sanitize(p.name, taken)
+            refs = [name] if p.width == 1 else [f"{name}[{i}]" for i in range(p.width)]
+            ports.append((direction, p, name, refs))
+    inputs, outputs = ports[:len(circuit.inputs)], ports[len(circuit.inputs):]
+    ref = {net: r for _, p, _, refs in inputs for net, r in zip(p.bits, refs)}
     # Gate fields are read by position (g[0] kind, g[1] inputs, g[2]
     # output): CPython specializes neither a NamedTuple's field reads nor
     # its unpacking.
@@ -92,21 +104,16 @@ def to_verilog(circuit: Circuit) -> str:
     wires = [f"n{g[2]}" for g in gates]
     ref.update(zip(map(itemgetter(2), gates), wires))
 
-    lines = [f"module {module} ({', '.join(port_name[p] for p in (*circuit.inputs, *circuit.outputs))});"]
-    for p in circuit.inputs:
+    lines = [f"module {module} ({', '.join(name for _, _, name, _ in ports)});"]
+    for direction, p, name, _ in ports:
         rng = "" if p.width == 1 else f"[{p.width - 1}:0] "
-        lines.append(f"  input {rng}{port_name[p]};")
-    for p in circuit.outputs:
-        rng = "" if p.width == 1 else f"[{p.width - 1}:0] "
-        lines.append(f"  output {rng}{port_name[p]};")
+        lines.append(f"  {direction} {rng}{name};")
     lines += [f"  wire {w};" for w in wires]
     for w, g in zip(wires, gates):
         expr = _GATE_EXPR[g[0]]([ref[i] for i in g[1]])
         lines.append(f"  assign {w} = {expr};")
-    for p in circuit.outputs:
-        for i, net in enumerate(p.bits):
-            target = port_name[p] if p.width == 1 else f"{port_name[p]}[{i}]"
-            lines.append(f"  assign {target} = {ref[net]};")
+    for _, p, _, refs in outputs:
+        lines += [f"  assign {r} = {ref[net]};" for r, net in zip(refs, p.bits)]
     lines.append("endmodule")
     return "\n".join(lines) + "\n"
 

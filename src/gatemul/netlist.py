@@ -346,9 +346,10 @@ class CircuitBuilder:
         self._inputs.append(Port(name, tuple(bits), signedness))
         return bits
 
-    def add_output(self, name: str, bits: Sequence[NetId], signedness: Signedness) -> None:
+    def add_output(self, name: str, bits: Iterable[NetId], signedness: Signedness) -> None:
         """Declare an output port over existing nets, LSB first."""
         self._check_port(name, signedness)
+        bits = tuple(bits)
         if not bits:
             raise NetlistError(f"output port {name!r} must have width >= 1")
         if any(p.name == name for p in self._outputs):
@@ -358,7 +359,7 @@ class CircuitBuilder:
                 raise NetlistError(f"output port {name!r} net id {net!r} is not an int")
             if not 0 <= net < self._net_count:
                 raise NetlistError(f"output port {name!r} references unallocated net {net}")
-        self._outputs.append(Port(name, tuple(bits), signedness))
+        self._outputs.append(Port(name, bits, signedness))
 
     def _check_inputs(self, inputs: Sequence[NetId]) -> NetId:
         """Refuse a finalized builder, then an input that is not an

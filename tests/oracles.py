@@ -223,6 +223,23 @@ def carry_save_reduce(
     return row_a, row_b
 
 
+# IEEE 1364-2005, Annex B: the words no Verilog identifier may be.
+VERILOG_2005_KEYWORDS = frozenset("""
+    always and assign automatic begin buf bufif0 bufif1 case casex casez cell
+    cmos config deassign default defparam design disable edge else end endcase
+    endconfig endfunction endgenerate endmodule endprimitive endspecify
+    endtable endtask event for force forever fork function generate genvar
+    highz0 highz1 if ifnone incdir include initial inout input instance integer
+    join large liblist library localparam macromodule medium module nand
+    negedge nmos nor noshowcancelled not notif0 notif1 or output parameter pmos
+    posedge primitive pull0 pull1 pulldown pullup pulsestyle_ondetect
+    pulsestyle_onevent rcmos real realtime reg release repeat rnmos rpmos
+    rtran rtranif0 rtranif1 scalared showcancelled signed small specify
+    specparam strong0 strong1 supply0 supply1 table task time tran tranif0
+    tranif1 tri tri0 tri1 triand trior trireg unsigned use uwire vectored wait
+    wand weak0 weak1 while wire wor xnor xor
+""".split())
+
 _REF = r"[A-Za-z_]\w*(?:\[\d+\])?"
 _PLAIN = {"&": GateKind.AND2, "|": GateKind.OR2, "^": GateKind.XOR2}
 _NEGATED = {"&": GateKind.NAND2, "|": GateKind.NOR2, "^": GateKind.XNOR2}
@@ -274,6 +291,8 @@ def read_verilog(text: str, signs: dict[str, Signedness] | None = None) -> Circu
     for line in lines[1:-2]:
         if m := re.fullmatch(r"  (input|output) (?:\[(\d+):0\] )?(\w+);", line):
             direction, top, name = m.groups()
+            if name in out_widths or any(p.name == name for p in inputs):
+                raise ValueError(f"port {name!r} declared twice")
             width = 1 if top is None else int(top) + 1
             if direction == "output":
                 out_widths[name] = width

@@ -326,6 +326,41 @@ def test_closed_stdout_keeps_exit_code_and_stderr_quiet(tmp_path, unbuffered):
         assert (proc.wait(timeout=120), err) == (code, b""), args
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_full_stdout_is_a_refusal(tmp_path, unbuffered):
+    # Every write to /dev/full fails with ENOSPC: one error line, no
+    # traceback, exit 2, whatever the command would have exited with.
+    c = baugh_wooley_multiplier(4)
+    good = tmp_path / "bw4.json"
+    good.write_text(to_json(c))
+    bad = tmp_path / "mutant.json"
+    bad.write_text(to_json(flip_gate(c, partial_product_gates(c)[0])))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    cases = [
+        ["gen", "--arch", "bw", "--width", "4", "--out", str(tmp_path / "g.v")],
+        ["verify", str(good)],
+        ["verify", str(good), "--format", "json"],
+        ["verify", str(bad)],
+        ["verify", str(bad), "--format", "json"],
+        ["compare", "--width", "4", "bw", "booth4"],
+        ["--help"],
+        ["verify", "-h"],
+    ]
+    for args in cases:
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "gatemul.cli", *args],
+                stdout=full, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        assert (proc.returncode, proc.stderr) == (
+            2, b"error: cannot write stdout: [Errno 28] No space left on device\n"
+        ), args
+
+
 class TestCompare:
     def test_three_way_table(self, capsys):
         code = run(["compare", "--width", "8", "--model", "unit",

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import shutil
 import subprocess
@@ -27,7 +28,7 @@ from gatemul.timing import DelayModel, critical_path, depth
 from gatemul.verify import boundary_values
 
 import test_sim
-from oracles import read_verilog
+from oracles import VERILOG_2005_KEYWORDS, read_verilog
 from test_multipliers import _digest_specs
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -181,6 +182,53 @@ class TestVerilogReadBack:
                     got = evaluate(back, {"a_b": ab, "module_": m, "n3_": n3})
                     want = evaluate(c, {"a-b": ab, "module": m, "n3": n3})
                     assert got == {self.RENAMED[k]: v for k, v in want.items()}
+
+    @staticmethod
+    def _assert_renamed_reads_back(c):
+        """Distinct names, none reserved; read back, the same circuit up to
+        port names, simulating like the source on every input."""
+        text = to_verilog(c)
+        ports = (*c.inputs, *c.outputs)
+        unsigned = read_verilog(text)
+        names = [p.name for p in (*unsigned.inputs, *unsigned.outputs)]
+        assert len(set(names)) == len(names) == len(ports), text
+        assert not {text.split(" ", 2)[1], *names} & VERILOG_2005_KEYWORDS, text
+        back = read_verilog(text, {n: p.signedness for n, p in zip(names, ports)})
+        assert back.gates == c.gates and back.net_count == c.net_count
+        assert [(p.bits, p.signedness) for p in (*back.inputs, *back.outputs)] == [
+            (p.bits, p.signedness) for p in ports
+        ]
+        ranges = [value_range(p.width, p.signedness) for p in c.inputs]
+        for values in itertools.product(*(range(lo, hi + 1) for lo, hi in ranges)):
+            want = evaluate(c, {p.name: v for p, v in zip(c.inputs, values)})
+            got = evaluate(back, {p.name: v for p, v in zip(back.inputs, values)})
+            assert list(got.values()) == [want[p.name] for p in c.outputs]
+
+    # Input bits at nets 0, 1, ... in port order, as read_verilog numbers
+    # them.  An input and an output port may compare equal; each still
+    # gets its own declaration.
+    @pytest.mark.parametrize("c", [
+        Circuit("m", (Port("A", (0,), U),), (Port("A", (0,), U),), (), 1),
+        Circuit("m", (Port("A", (0, 1), U),), (Port("A", (0, 1), U),), (), 2),
+        Circuit("m", (Port("A", (0, 1), S),), (Port("A", (0, 1), S),), (), 2),
+        # The same name over different bits.
+        Circuit("m", (Port("A", (0, 1), U),), (Port("A", (2,), U),),
+                (Gate(GateKind.AND2, (0, 1), 2),), 3),
+        # Output bits read straight from input bits, next to a gate's.
+        Circuit("m", (Port("X", (0, 1), S), Port("Y", (2,), U)),
+                (Port("P", (1, 3, 2, 0), S),),
+                (Gate(GateKind.XOR2, (0, 2), 3),), 4),
+    ], ids=["equal-w1", "equal-w2", "equal-signed", "same-name", "input-bits-out"])
+    def test_every_port_declared_once(self, c):
+        self._assert_renamed_reads_back(c)
+
+    def test_reserved_words_are_escaped(self):
+        # Each word as the module name and as an input and an output name.
+        for word in sorted(VERILOG_2005_KEYWORDS):
+            b = CircuitBuilder(word)
+            a = b.add_input(word, 2, U)
+            b.add_output(word, [b.add_gate(GateKind.AND2, a)], U)
+            self._assert_renamed_reads_back(b.finalize())
 
     def test_a_changed_operator_reads_as_a_different_circuit(self):
         c = baugh_wooley_multiplier(4)

@@ -149,6 +149,20 @@ def test_add_output_refuses_a_bad_signedness():
     assert [p.signedness for p in b.finalize().outputs] == [S]
 
 
+def test_add_output_reads_an_iterator_once():
+    b = CircuitBuilder("t")
+    a0, a1 = b.add_input("A", 2, U)
+    x = b.add_gate(GateKind.XOR2, [a0, a1])
+    b.add_output("P", (n for n in [x, a0]), U)
+    with pytest.raises(NetlistError) as err:
+        b.add_output("Q", iter(()), U)
+    assert str(err.value) == "output port 'Q' must have width >= 1"
+    c = b.finalize()
+    assert c.outputs == (Port("P", (x, a0), U),)
+    assert validate(c) == []
+    assert evaluate(c, {"A": 1}) == {"P": 3}
+
+
 class TestAddCell:
     """``_add_cell`` refuses what ``add_gate`` refuses, with its texts,
     before it appends anything."""
