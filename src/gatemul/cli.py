@@ -80,14 +80,11 @@ def _cmd_gen(args) -> int:
     spec = _make_spec(
         args.arch, args.width, args.leaf, args.combiner, args.sign_a, args.sign_b
     )
-    circuit = generate(spec)
     out = Path(args.out)
-    if out.suffix == ".json":
-        text = to_json(circuit)
-    elif out.suffix == ".v":
-        text = to_verilog(circuit)
-    else:
+    if out.suffix not in (".json", ".v"):
         raise ValueError(f"output file must end in .json or .v, got {out.name!r}")
+    circuit = generate(spec)
+    text = to_json(circuit) if out.suffix == ".json" else to_verilog(circuit)
     try:
         out.write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:
@@ -141,7 +138,7 @@ def _cmd_verify(args) -> int:
 def _cmd_compare(args) -> int:
     if len(args.archs) < 2:
         raise ValueError("compare needs at least two architecture tokens")
-    entries = []
+    specs = []
     for token in args.archs:
         name, _, leaf_text = token.partition(":")
         if name not in _ARCH_TOKENS:
@@ -150,8 +147,8 @@ def _cmd_compare(args) -> int:
             leaf = int(leaf_text) if leaf_text else None
         except ValueError:
             raise ValueError(f"invalid leaf in {token!r}") from None
-        spec = _make_spec(name, args.width, leaf, args.combiner)
-        entries.append((token, generate(spec)))
+        specs.append((token, _make_spec(name, args.width, leaf, args.combiner)))
+    entries = [(token, generate(spec)) for token, spec in specs]
     table = compare(entries, DelayModel.by_name(args.model))
     if args.format == "csv":
         _print(table.to_csv(), end="")

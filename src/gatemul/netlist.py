@@ -155,11 +155,13 @@ def _analyse(circuit: Circuit) -> _Analysis:
                      f"must be a Signedness, got {p.signedness!r}")
 
     for gi, g in enumerate(gates):
-        want = g.kind.arity
-        if len(g.inputs) != want:
+        if not isinstance(g.kind, GateKind):
             flag(ViolationKind.ARITY_MISMATCH,
-                 f"gate {gi} ({g.kind.value}) has {len(g.inputs)} inputs, expected {want}",
-                 gate_index=gi)
+                 f"gate {gi} kind must be a GateKind, got {g.kind!r}", gate_index=gi)
+        elif len(g.inputs) != g.kind.arity:
+            flag(ViolationKind.ARITY_MISMATCH,
+                 f"gate {gi} ({g.kind.value}) has {len(g.inputs)} inputs, "
+                 f"expected {g.kind.arity}", gate_index=gi)
 
     # Driver census: input-port bits and gate outputs each drive one net.  A
     # driver outside the net range counts as an undriven reference.
@@ -249,7 +251,8 @@ def validate(circuit: Circuit) -> list[Violation]:
     Violations are data, not exceptions: an empty list means the circuit is
     well formed (at least one input and one output port, ports non-empty,
     named once per direction and of ``Signedness``, every net driven exactly
-    once, all references resolved, gate graph acyclic, arities correct).
+    once, all references resolved, gate graph acyclic, gate kinds of
+    ``GateKind`` with their arities).
     """
     return list(circuit._analysis.violations)
 
@@ -287,13 +290,13 @@ class CircuitBuilder:
 
     Net ids are dense and allocated in construction order; gates may only
     reference nets that already exist, so the finished gate list is a valid
-    evaluation order.  Each call checks its arguments (arity, net ids that
-    are allocated ints, port names, int widths and ``Signedness`` members)
-    and every gate drives a fresh net.  A group of gates appended in one
-    call (``_add_cell``) checks its inputs the same way, and every other net
-    it reads is one the call allocated.  So ``finalize`` records the
-    analysis without a census and returns an immutable circuit; the builder
-    must not be used afterwards.
+    evaluation order.  Each call checks its arguments (``GateKind`` members
+    and their arity, net ids that are allocated ints, port names, int widths
+    and ``Signedness`` members) and every gate drives a fresh net.  A group
+    of gates appended in one call (``_add_cell``) checks its inputs the same
+    way, and every other net it reads is one the call allocated.  So
+    ``finalize`` records the analysis without a census and returns an
+    immutable circuit; the builder must not be used afterwards.
     """
 
     def __init__(self, name: str):
@@ -377,6 +380,8 @@ class CircuitBuilder:
         """Append a gate over existing nets; returns its fresh output net."""
         ins = tuple(inputs)
         out = self._check_inputs(ins)
+        if not isinstance(kind, GateKind):
+            raise NetlistError(f"gate kind must be a GateKind, got {kind!r}")
         if len(ins) != kind.arity:
             raise NetlistError(
                 f"{kind.value} takes {kind.arity} inputs, got {len(ins)}"

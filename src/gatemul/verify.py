@@ -7,8 +7,9 @@ otherwise it multiplies exact Python ints.  It never touches generator or
 simulator word paths, so a bug in the netlist machinery cannot hide itself.
 numpy is imported inside the functions that use it, not at module top, so
 importing gatemul (as ``gen`` and ``compare`` do) does not load it.
-Both entry points refuse a spec whose operand widths or signs differ from
-the circuit's ports.
+Both entry points first refuse a spec whose operand widths or signs differ
+from the circuit's ports, before any vector is made; every other operand
+fact (ranges, boundary values, draws, the oracle's dtype) is the ports'.
 
 A report's ``failures`` is a read-only sequence of ``(inputs, expected,
 actual)`` rows.  The failing vectors stay in numpy arrays, and a row's tuple
@@ -170,6 +171,8 @@ def oracle_product(a: int, b: int, spec: MultiplierSpec) -> int:
 
 
 def _ports(circuit: Circuit, spec: MultiplierSpec):
+    """Operand and product ports, once the spec's widths and signs match the
+    operand ports'; with :func:`oracle_product`, the only reader of a spec."""
     if len(circuit.inputs) != 2 or len(circuit.outputs) != 1:
         raise ValueError("expected a 2-input, 1-output multiplier circuit")
     pa, pb = circuit.inputs
@@ -186,24 +189,25 @@ def _ports(circuit: Circuit, spec: MultiplierSpec):
     return pa, pb, circuit.outputs[0]
 
 
-def _oracle(a_vals: np.ndarray, b_vals: np.ndarray, spec: MultiplierSpec) -> np.ndarray:
-    """Whole-array ``a * b``, unchecked: the callers draw operands from the
-    spec's ranges and the simulator checks them against the ports.  The
-    product is an int64 array when every operand and product fits in int64,
-    else an object array of exact Python ints."""
-    lo_a, hi_a = value_range(spec.width_a, spec.sign_a)
-    lo_b, hi_b = value_range(spec.width_b, spec.sign_b)
-    corners = [x * y for x in (lo_a, hi_a) for y in (lo_b, hi_b)]
-    if fits_int64(lo_a, hi_a, lo_b, hi_b, *corners):
-        return a_vals * b_vals
-    return a_vals.astype(object) * b_vals.astype(object)
-
-
-def _run(circuit: Circuit, spec: MultiplierSpec, a_vals, b_vals):
+def _cross(a_vals: np.ndarray, b_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of an A value and a B value, A-major, as two arrays."""
     import numpy as np
 
-    pa, pb, po = _ports(circuit, spec)
-    expected = _oracle(a_vals, b_vals, spec)
+    return np.repeat(a_vals, len(b_vals)), np.tile(b_vals, len(a_vals))
+
+
+def _run(circuit: Circuit, ports, a_vals, b_vals):
+    """Failing vectors against whole-array ``a * b``, unchecked (the simulator
+    checks operands against the ports): int64 when every operand and product
+    fits in int64, else exact Python ints in an object array."""
+    import numpy as np
+
+    pa, pb, po = ports
+    ra, rb = value_range(pa.width, pa.signedness), value_range(pb.width, pb.signedness)
+    if fits_int64(*ra, *rb, *(x * y for x in ra for y in rb)):
+        expected = a_vals * b_vals
+    else:
+        expected = a_vals.astype(object) * b_vals.astype(object)
     out = evaluate_vector_array(circuit, {pa.name: a_vals, pb.name: b_vals})
     actual = out[po.name]
     bad = np.flatnonzero(actual != expected)
@@ -219,18 +223,17 @@ def verify_exhaustive(circuit: Circuit, spec: MultiplierSpec) -> VerifyReport:
     collects all failures, never stops early."""
     import numpy as np
 
-    if max(spec.width_a, spec.width_b) > EXHAUSTIVE_MAX_WIDTH:
+    pa, pb, po = _ports(circuit, spec)
+    if max(pa.width, pb.width) > EXHAUSTIVE_MAX_WIDTH:
         raise ValueError(
-            f"width {max(spec.width_a, spec.width_b)} exceeds the exhaustive cap "
+            f"width {max(pa.width, pb.width)} exceeds the exhaustive cap "
             f"({EXHAUSTIVE_MAX_WIDTH}); use verify_random"
         )
-    lo_a, hi_a = value_range(spec.width_a, spec.sign_a)
-    lo_b, hi_b = value_range(spec.width_b, spec.sign_b)
-    a_range = np.arange(lo_a, hi_a + 1, dtype=np.int64)
-    b_range = np.arange(lo_b, hi_b + 1, dtype=np.int64)
-    a_vals = np.repeat(a_range, len(b_range))
-    b_vals = np.tile(b_range, len(a_range))
-    failures = _run(circuit, spec, a_vals, b_vals)
+    a_vals, b_vals = _cross(*(
+        np.arange(lo, hi + 1, dtype=np.int64)
+        for lo, hi in (value_range(p.width, p.signedness) for p in (pa, pb))
+    ))
+    failures = _run(circuit, (pa, pb, po), a_vals, b_vals)
     return VerifyReport(mode="exhaustive", total_vectors=len(a_vals), failures=failures)
 
 
@@ -271,32 +274,28 @@ def verify_random(
 ) -> VerifyReport:
     """Seeded random vectors plus the full boundary-pair cross product.
 
-    The same (seed, count, spec) always tests the same vectors; the PRNG is
+    The same (seed, count, ports) always tests the same vectors; the PRNG is
     recorded in the report so runs are reproducible elsewhere.  One PCG64
     generator draws ``count`` values for A, then ``count`` for B (see
     :func:`_draw` for operand ranges wider than int64).
     """
     import numpy as np
 
+    if type(count) is not int:
+        raise ValueError(f"count must be an int, got {count!r}")
     if count < 1:
         raise ValueError("count must be >= 1")
     if count > _MAX_COUNT:
         raise ValueError(f"count must be <= {_MAX_COUNT}")
-    ba = boundary_values(spec.width_a, spec.sign_a)
-    bb = boundary_values(spec.width_b, spec.sign_b)
-    corner_a = [a for a in ba for _ in bb]
-    corner_b = [b for _ in ba for b in bb]
-
+    pa, pb, po = _ports(circuit, spec)
+    corner_a, corner_b = _cross(*(
+        np.array(boundary_values(p.width, p.signedness), dtype=port_dtype(p.width, p.signedness))
+        for p in (pa, pb)
+    ))
     rng = np.random.default_rng(seed)
-    a_vals = np.concatenate([
-        np.array(corner_a, dtype=port_dtype(spec.width_a, spec.sign_a)),
-        _draw(rng, spec.width_a, spec.sign_a, count),
-    ])
-    b_vals = np.concatenate([
-        np.array(corner_b, dtype=port_dtype(spec.width_b, spec.sign_b)),
-        _draw(rng, spec.width_b, spec.sign_b, count),
-    ])
-    failures = _run(circuit, spec, a_vals, b_vals)
+    a_vals = np.concatenate([corner_a, _draw(rng, pa.width, pa.signedness, count)])
+    b_vals = np.concatenate([corner_b, _draw(rng, pb.width, pb.signedness, count)])
+    failures = _run(circuit, (pa, pb, po), a_vals, b_vals)
     return VerifyReport(
         mode="random",
         total_vectors=len(a_vals),

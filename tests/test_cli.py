@@ -504,6 +504,22 @@ class TestRefusals:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv, err", [
+        (["gen", "--arch", "bw", "--width", "8", "--out", "{dir}/x.txt"],
+         "error: output file must end in .json or .v, got 'x.txt'\n"),
+        (["compare", "--width", "8", "bw", "nope"],
+         "error: unknown architecture token 'nope'\n"),
+        (["compare", "--width", "8", "bw", "decomposed:3"],
+         "error: leaf_width must divide the width\n"),
+    ], ids=["gen_suffix", "compare_unknown_token", "compare_bad_leaf"])
+    def test_refused_before_any_circuit_is_built(self, tmp_path, capsys, monkeypatch,
+                                                 argv, err):
+        built = []
+        monkeypatch.setattr(cli, "generate", lambda spec: built.append(spec))
+        assert run([a.format(dir=tmp_path) for a in argv]) == 2
+        assert capsys.readouterr() == ("", err)
+        assert built == []
+
 
 class TestCollectorState:
     """main pauses the cyclic collector while gen and compare run and
@@ -531,7 +547,8 @@ class TestCollectorState:
 
     @pytest.mark.parametrize("argv, code", [
         (["gen", "--arch", "bw", "--width", "8", "--out", "{dir}/bw8.json"], 0),
-        (["gen", "--arch", "bw", "--width", "8", "--out", "{dir}/bw8.txt"], 2),
+        # Refused after generating: the output directory does not exist.
+        (["gen", "--arch", "bw", "--width", "8", "--out", "{dir}/missing/bw8.json"], 2),
         (["compare", "--width", "8", "bw", "booth4", "decomposed:4"], 0),
     ], ids=["gen", "gen_exit_2", "compare"])
     def test_gen_and_compare_pause_it(self, gc_state, monkeypatch, tmp_path, argv, code):

@@ -454,6 +454,30 @@ def test_bad_ports_fail_validate(inputs, outputs, message):
             call()
 
 
+def test_gate_kind_that_is_no_gatekind_fails_validate():
+    """A hand-built gate whose kind is a string is a violation, not a stray
+    ``AttributeError``, and no simulation or emitter reads it."""
+    from gatemul.emit import to_json
+
+    c = Circuit("bad", (_A, _B), (_Y,), (Gate("AND2", (0, 1), 2),), 3)
+    message = "ArityMismatch: gate 0 kind must be a GateKind, got 'AND2'"
+    violations = validate(c)
+    assert [(v.kind, v.message, v.gate_index) for v in violations] == [
+        (ViolationKind.ARITY_MISMATCH, message, 0)
+    ]
+    for call in (lambda: evaluate(c, {"A": 0, "B": 1}), lambda: to_json(c)):
+        with pytest.raises(ValidationError, match=f"^circuit 'bad' is invalid: {message}$"):
+            call()
+
+
+def test_add_gate_refuses_a_kind_that_is_no_gatekind():
+    b = CircuitBuilder("t")
+    with pytest.raises(NetlistError) as err:
+        b.add_gate("AND2", ())
+    assert str(err.value) == "gate kind must be a GateKind, got 'AND2'"
+    assert (b.net_count, b.gate_count) == (0, 0)
+
+
 def test_builder_gates_topologically_ordered():
     rng = random.Random(7)
     for _ in range(25):

@@ -6,6 +6,7 @@ import pytest
 
 import numpy as np
 
+import gatemul.verify
 from gatemul.multipliers import (
     Architecture,
     MultiplierSpec,
@@ -29,6 +30,7 @@ S = Signedness.SIGNED
 U = Signedness.UNSIGNED
 
 BW4_SPEC = MultiplierSpec(4, 4, S, S, Architecture.FLAT_BW)
+SPEC16 = MultiplierSpec(16, 16, S, S, Architecture.FLAT_BW)
 
 
 def partial_product_gates(circuit: Circuit) -> list[int]:
@@ -96,6 +98,12 @@ class TestExhaustive:
         with pytest.raises(ValueError, match=message):
             verify_random(c, BW4_SPEC, count=10, seed=1)
 
+    def test_mismatch_refused_before_the_cap(self):
+        # A spec both mismatched and over the exhaustive cap is refused as a
+        # mismatch: the spec is checked first.
+        with pytest.raises(ValueError, match="^circuit widths 8x8 do not match the spec 16x16$"):
+            verify_exhaustive(baugh_wooley_multiplier(8), SPEC16)
+
     def test_corrupted_netlist_reports_witnesses(self):
         c = baugh_wooley_multiplier(4)
         mutant = flip_gate(c, partial_product_gates(c)[0])
@@ -155,6 +163,20 @@ class TestRandom:
         for count in (2**24 + 1, 2**59):
             with pytest.raises(ValueError, match=r"^count must be <= 16777216$"):
                 verify_random(c, BW4_SPEC, count=count, seed=0)
+
+    def test_spec_checked_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("operands drawn before the spec was checked")
+
+        monkeypatch.setattr(gatemul.verify, "_draw", no_draws)
+        with pytest.raises(ValueError, match="^circuit widths 8x8 do not match the spec 16x16$"):
+            verify_random(baugh_wooley_multiplier(8), SPEC16, count=10, seed=0)
+
+    @pytest.mark.parametrize("count", [2.5, True, "10"])
+    def test_count_must_be_an_int(self, count):
+        c = baugh_wooley_multiplier(4)
+        with pytest.raises(ValueError, match=rf"^count must be an int, got {count!r}$"):
+            verify_random(c, BW4_SPEC, count=count, seed=0)
 
     def test_failures_sorted_by_input_vector(self):
         # Flipping a partial product breaks many vectors; order must be sorted.
