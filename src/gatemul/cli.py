@@ -225,7 +225,9 @@ def main(argv: list[str] | None = None) -> int:
     verify.  Other exceptions are bugs and keep their traceback.  ``gen``
     and ``compare`` pause the cyclic GC, which frees none of their acyclic
     gates; ``verify`` does not, as a pause there keeps numpy's import
-    garbage and raises peak RSS."""
+    garbage and raises peak RSS.  numpy's OpenBLAS, which no command
+    calls, gets one thread unless ``OPENBLAS_NUM_THREADS`` is already set."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         args = _build_parser().parse_args(argv)
         if args.command not in ("gen", "compare") or not gc.isenabled():

@@ -18,12 +18,16 @@ integer is exact and anything else is refused.  Port values travel as int64
 arrays when the port's range fits in int64 and as object arrays of exact
 Python ints otherwise.  numpy is imported inside the functions that build or read
 those arrays, not at module top, so importing gatemul (as ``gen`` and
-``compare`` do) does not load it.
+``compare`` do) does not load it.  The exhaustive sweep of a narrow circuit
+needs no numpy at all: its input lanes are counting patterns built from
+repeated bytes, and its outputs are unpacked with ``int.to_bytes``, strided
+``bytearray`` writes and ``array.array``.
 """
 
 from __future__ import annotations
 
 import operator
+from array import array
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .netlist import Circuit, GateKind, Signedness, _require_valid
@@ -316,6 +320,61 @@ def _unpack_port(
     return acc
 
 
+# array.array typecodes by item size: (unsigned, signed).
+_TYPECODES = {array(u).itemsize: (u, s) for u, s in zip("BHIQ", "bhiq")}
+
+
+def _transpose8_int(words: int, groups: int) -> int:
+    """:func:`_transpose8` on ``groups`` 64-bit words held in one Python int.
+
+    No masked bit moves past its own word, so the words never mix."""
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
+                        (28, 0x00000000F0F0F0F0)):
+        mask = int.from_bytes(mask.to_bytes(8, "little") * groups, "little")
+        t = ((words >> shift) ^ words) & mask
+        words ^= t ^ (t << shift)
+    return words
+
+
+def _unpack_lanes(
+    lanes: Sequence[int], width: int, count: int, signedness: Signedness
+) -> list[int]:
+    """:func:`_unpack_port` without numpy: ``count`` port values from one
+    lane per bit, as a list of Python ints.
+
+    Byte q of every value comes from lanes 8q to 8q + 7: their bytes,
+    interleaved, make word i hold byte i of each of the eight lanes, and one
+    8x8 bit transpose per word turns it into byte q of vectors 8i to 8i + 7.
+    Those bytes go to every ``size``-th byte of one buffer.  A signed port's
+    top lane stands in for the lanes above it, which sign-extends every value
+    to the whole item.  Up to 64 bits, one ``array.array`` of that item size
+    reads the buffer; a wider port reads one ``int.from_bytes`` per value.
+    """
+    groups = -(-count // 8)
+    signed = signedness is Signedness.SIGNED
+    fill = lanes[-1] if signed else 0
+    nbytes = -(-width // 8)
+    size = next((s for s in _TYPECODES if s >= nbytes), nbytes)
+    raw = bytearray(8 * groups * size)
+    for q in range(size):
+        byte_lanes = [*lanes[8 * q:8 * q + 8]]
+        byte_lanes += [fill] * (8 - len(byte_lanes))
+        if not any(byte_lanes):
+            continue
+        words = bytearray(8 * groups)
+        for c, lane in enumerate(byte_lanes):
+            words[c::8] = lane.to_bytes(groups, "little")
+        raw[q::size] = _transpose8_int(int.from_bytes(words, "little"), groups).to_bytes(
+            8 * groups, "little")
+    if size in _TYPECODES:
+        values = array(_TYPECODES[size][signed], raw).tolist()
+    else:
+        values = [int.from_bytes(raw[i:i + size], "little", signed=signed)
+                  for i in range(0, len(raw), size)]
+    del values[count:]
+    return values
+
+
 def _ints_from_limbs(limbs: np.ndarray) -> np.ndarray:
     """Exact Python ints (an object array) from rows of uint64 limbs, least
     significant limb first."""
@@ -386,6 +445,52 @@ def evaluate_vector_array(
             )
             at += p.width
     return out
+
+
+# Lane bytes whose bit k is bit m of k, for m = 0, 1, 2.
+_SHORT_PERIODS = (b"\xaa", b"\xcc", b"\xf0")
+
+
+def _counting_lane(m: int, nbytes: int) -> int:
+    """The lane of ``8 * nbytes`` vectors whose bit k is bit ``m`` of k:
+    runs of ``2**m`` zeros and ``2**m`` ones, for ``2**(m - 2) <= nbytes``."""
+    if m < 3:
+        block = _SHORT_PERIODS[m]
+    else:
+        half = 1 << (m - 3)
+        block = bytes(half) + b"\xff" * half
+    return int.from_bytes(block * (nbytes // len(block)), "little")
+
+
+def _evaluate_sweep(circuit: Circuit) -> tuple[int, dict[str, list[int]]]:
+    """Every input assignment in one lane batch, without numpy: the vector
+    count and each output port's values as a list of Python ints.
+
+    Vector k takes each input port's bits from its own bits of k, the first
+    port's the most significant, and gives the port the value ``lo + i`` for
+    the number i they make: for two ports that is the A-major cross product
+    of their ranges.  ``lo + i`` has the bits of i with the top one inverted
+    for a signed port.  The batch is ``2**total_input_width`` vectors, so
+    this is for narrow circuits (``verify_exhaustive`` sweeps 16 bits).
+    """
+    program = _program(circuit)
+    total = sum(p.width for p in circuit.inputs)
+    count = 1 << total
+    mask = (1 << count) - 1
+    nbytes = max(1, count >> 3)
+    lanes, m = [], total
+    for p in circuit.inputs:
+        m -= p.width
+        port_lanes = [_counting_lane(m + j, nbytes) & mask for j in range(p.width)]
+        if p.signedness is Signedness.SIGNED:
+            port_lanes[-1] ^= mask
+        lanes += port_lanes
+    bits = _evaluate_lanes(program, lanes, mask)
+    out, at = {}, 0
+    for p in circuit.outputs:
+        out[p.name] = _unpack_lanes(bits[at:at + p.width], p.width, count, p.signedness)
+        at += p.width
+    return count, out
 
 
 def evaluate_batch(

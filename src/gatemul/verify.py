@@ -1,20 +1,24 @@
 """Equivalence checking of multiplier netlists against host-integer products.
 
-The oracle is deliberately boring: multiply the operand arrays on the host,
-compare.  When every operand and every product fits in int64 (decided from
-the port ranges with Python ints) it multiplies numpy int64 arrays;
-otherwise it multiplies exact Python ints.  It never touches generator or
-simulator word paths, so a bug in the netlist machinery cannot hide itself.
-numpy is imported inside the functions that use it, not at module top, so
-importing gatemul (as ``gen`` and ``compare`` do) does not load it.
-Both entry points first refuse a spec whose operand widths or signs differ
-from the circuit's ports, before any vector is made; every other operand
-fact (ranges, boundary values, draws, the oracle's dtype) is the ports'.
+The oracle is deliberately boring: multiply the operands on the host,
+compare.  It never touches generator or simulator word paths, so a bug in
+the netlist machinery cannot hide itself.  The exhaustive sweep runs
+without numpy: the simulator's lane batch of every operand pair gives the
+products as a list, against ``[x * y for x in range_a for y in range_b]``.
+The random run multiplies numpy int64 arrays when every operand and every
+product fits in int64 (decided from the port ranges with Python ints) and
+exact Python ints otherwise.  numpy is imported inside the functions that
+use it, not at module top, so importing gatemul (as ``gen`` and
+``compare`` do) does not load it.  Both entry points first refuse a spec
+whose operand widths or signs differ from the circuit's ports, before any
+vector is made; every other operand fact (ranges, boundary values, draws,
+the oracle's dtype) is the ports'.
 
 A report's ``failures`` is a read-only sequence of ``(inputs, expected,
-actual)`` rows.  The failing vectors stay in numpy arrays, and a row's tuple
-of Python ints is built only when the row is read: a FAIL report that prints
-20 witnesses builds 20 tuples, however many vectors failed.
+actual)`` rows.  The failing vectors stay in four columns, numpy arrays or
+lists of Python ints, and a row's tuple is built only when the row is read:
+a FAIL report that prints 20 witnesses builds 20 tuples, however many
+vectors failed.
 """
 
 from __future__ import annotations
@@ -23,11 +27,19 @@ import json
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import TYPE_CHECKING
 
 from .multipliers import MultiplierSpec
 from .netlist import Circuit
-from .sim import _ints_from_limbs, evaluate_vector_array, fits_int64, port_dtype, value_range
+from .sim import (
+    _evaluate_sweep,
+    _ints_from_limbs,
+    evaluate_vector_array,
+    fits_int64,
+    port_dtype,
+    value_range,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -54,7 +66,8 @@ _ROW_BLOCK = 4096
 
 
 class _Failures(Sequence):
-    """The failing vectors of one run, held as four equal-length arrays.
+    """The failing vectors of one run, held as four equal-length columns,
+    numpy arrays or lists of Python ints.
 
     A row reads as ``({name_a: a, name_b: b}, expected, actual)`` with Python
     ints, the tuple a list of failures would hold; it is built when indexed,
@@ -91,14 +104,10 @@ class _Failures(Sequence):
 
     def _rows(self, index: slice) -> list[_Failure]:
         name_a, name_b = self._names
+        columns = (self._a[index], self._b[index], self._expected[index], self._actual[index])
         return [
             ({name_a: a, name_b: b}, e, g)
-            for a, b, e, g in zip(
-                self._a[index].tolist(),
-                self._b[index].tolist(),
-                self._expected[index].tolist(),
-                self._actual[index].tolist(),
-            )
+            for a, b, e, g in zip(*(c if type(c) is list else c.tolist() for c in columns))
         ]
 
 
@@ -220,21 +229,28 @@ def _run(circuit: Circuit, ports, a_vals, b_vals):
 
 def verify_exhaustive(circuit: Circuit, spec: MultiplierSpec) -> VerifyReport:
     """Sweep every operand pair (at most :data:`EXHAUSTIVE_MAX_WIDTH` bits);
-    collects all failures, never stops early."""
-    import numpy as np
-
+    collects all failures, never stops early.  Runs without numpy."""
     pa, pb, po = _ports(circuit, spec)
     if max(pa.width, pb.width) > EXHAUSTIVE_MAX_WIDTH:
         raise ValueError(
             f"width {max(pa.width, pb.width)} exceeds the exhaustive cap "
             f"({EXHAUSTIVE_MAX_WIDTH}); use verify_random"
         )
-    a_vals, b_vals = _cross(*(
-        np.arange(lo, hi + 1, dtype=np.int64)
-        for lo, hi in (value_range(p.width, p.signedness) for p in (pa, pb))
-    ))
-    failures = _run(circuit, (pa, pb, po), a_vals, b_vals)
-    return VerifyReport(mode="exhaustive", total_vectors=len(a_vals), failures=failures)
+    (lo_a, hi_a), (lo_b, hi_b) = (value_range(p.width, p.signedness) for p in (pa, pb))
+    expected = [x * y for x in range(lo_a, hi_a + 1) for y in range(lo_b, hi_b + 1)]
+    count, out = _evaluate_sweep(circuit)
+    actual = out[po.name]
+    # Vector k is (lo_a + k // 2**nb, lo_b + k % 2**nb): (A, B) order already.
+    bad = [] if actual == expected else list(
+        compress(range(count), map(operator.ne, actual, expected)))
+    failures = _Failures(
+        (pa.name, pb.name),
+        [lo_a + (k >> pb.width) for k in bad],
+        [lo_b + (k & (hi_b - lo_b)) for k in bad],
+        list(map(expected.__getitem__, bad)),
+        list(map(actual.__getitem__, bad)),
+    )
+    return VerifyReport(mode="exhaustive", total_vectors=count, failures=failures)
 
 
 def boundary_values(width: int, signedness) -> list[int]:
@@ -279,15 +295,17 @@ def verify_random(
     generator draws ``count`` values for A, then ``count`` for B (see
     :func:`_draw` for operand ranges wider than int64).
     """
-    import numpy as np
-
     if type(count) is not int:
         raise ValueError(f"count must be an int, got {count!r}")
     if count < 1:
         raise ValueError("count must be >= 1")
     if count > _MAX_COUNT:
         raise ValueError(f"count must be <= {_MAX_COUNT}")
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     pa, pb, po = _ports(circuit, spec)
+    import numpy as np
+
     corner_a, corner_b = _cross(*(
         np.array(boundary_values(p.width, p.signedness), dtype=port_dtype(p.width, p.signedness))
         for p in (pa, pb)

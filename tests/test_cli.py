@@ -598,7 +598,8 @@ class TestCollectorState:
 
 
 class TestNumpyOffStartup:
-    """gen and compare never load numpy; verify loads it on first use."""
+    """gen, compare and exhaustive verify never load numpy; verify --random
+    loads it on first use."""
 
     def _numpy_loaded_after(self, body):
         code = (
@@ -626,14 +627,46 @@ class TestNumpyOffStartup:
             f"assert gatemul.cli.main({argv!r}) == 0"
         )
 
-    def test_verify_loads_numpy_and_passes(self, tmp_path):
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_exhaustive_verify_leaves_numpy_unloaded(self, tmp_path, fmt):
+        c = baugh_wooley_multiplier(8)
+        good, bad = tmp_path / "bw8.json", tmp_path / "bw8_mutant.json"
+        good.write_text(to_json(c))
+        bad.write_text(to_json(flip_gate(c, partial_product_gates(c)[0])))
+        assert not self._numpy_loaded_after(
+            f"assert gatemul.cli.main(['verify', {str(good)!r}, '--format', {fmt!r}]) == 0\n"
+            f"assert gatemul.cli.main(['verify', {str(bad)!r}, '--format', {fmt!r}]) == 1"
+        )
+
+    def test_random_verify_loads_numpy(self, tmp_path):
         out = tmp_path / "bw4.json"
         out.write_text(to_json(baugh_wooley_multiplier(4)))
         assert self._numpy_loaded_after(
-            "assert 'numpy' not in sys.modules\n"
-            f"assert gatemul.cli.main(['verify', {str(out)!r}]) == 0\n"
             f"assert gatemul.cli.main(['verify', {str(out)!r}, '--random', '50']) == 0"
         )
+
+    @pytest.mark.parametrize("preset", [None, "3"])
+    def test_main_sets_one_blas_thread_unless_set(self, tmp_path, preset):
+        # Importing gatemul sets nothing; main sets the variable only where
+        # it is absent, before numpy (and its OpenBLAS) loads.  Linux lists
+        # the process's threads under /proc/self/task.
+        out = tmp_path / "bw4.json"
+        out.write_text(to_json(baugh_wooley_multiplier(4)))
+        want = preset or "1"
+        code = (
+            "import os\n"
+            "os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
+            f"if {preset!r} is not None:\n"
+            f"    os.environ['OPENBLAS_NUM_THREADS'] = {preset!r}\n"
+            "import gatemul.cli\n"
+            f"assert os.environ.get('OPENBLAS_NUM_THREADS') == {preset!r}\n"
+            f"assert gatemul.cli.main(['verify', {str(out)!r}, '--random', '50']) == 0\n"
+            f"assert os.environ['OPENBLAS_NUM_THREADS'] == {want!r}\n"
+            f"if {want!r} == '1' and os.path.isdir('/proc/self/task'):\n"
+            "    assert os.listdir('/proc/self/task') == [str(os.getpid())]\n"
+        )
+        proc = _run_python(["-c", code])
+        assert proc.returncode == 0, proc.stderr
 
     def test_cli_names_the_verify_functions(self):
         # A wrapper installed on gatemul.cli.verify_* must be what main() calls.

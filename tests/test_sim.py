@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -444,6 +445,41 @@ class TestLaneDefinition:
                 assert [(lane >> k) & 1 for lane in lanes] == encode(int(arr[k]), width, signedness)
             back = sim._unpack_port(lanes, width, count, signedness)
             assert back.dtype == dtype and np.array_equal(back, arr)
+
+    @pytest.mark.parametrize("signedness", [S, U])
+    def test_bytes_unpack_agrees(self, signedness):
+        """The numpy-free unpack gives the values as a list of Python ints:
+        every width and small count, and a whole chunk at the widths around
+        each array item size and past 64 bits."""
+        rng = random.Random(5)
+        for width in range(1, 131):
+            if signedness is S and width == 1:
+                continue
+            for count in range(1, 18):
+                vals = _random_port_values(rng, width, signedness, count)
+                lanes = sim._pack_port(np.array(vals, port_dtype(width, signedness)), width)
+                assert sim._unpack_lanes(lanes, width, count, signedness) == vals
+        for width in (2, 7, 8, 9, 16, 17, 31, 32, 33, 63, 64, 65, 130):
+            lo, _ = value_range(width, signedness)
+            vals = [lo + rng.getrandbits(width) for _ in range(65_536)]
+            lanes = sim._pack_port(np.array(vals, port_dtype(width, signedness)), width)
+            back = sim._unpack_lanes(lanes, width, 65_536, signedness)
+            assert all(type(v) is int for v in back) and back == vals
+
+
+def test_sweep_assigns_every_input_vector():
+    """Vector k of the sweep assigns the input ports the k-th tuple of the
+    product of their ranges, the first port counting slowest."""
+    b = CircuitBuilder("ports")
+    ports = [("a", 3, S), ("b", 1, U), ("c", 2, S), ("d", 4, U)]
+    for name, width, signedness in ports:
+        b.add_output(f"{name}_out", b.add_input(name, width, signedness), signedness)
+    c = b.finalize()
+    count, out = sim._evaluate_sweep(c)
+    vectors = list(itertools.product(*(range(lo, hi + 1) for lo, hi in
+                                       (value_range(w, s) for _, w, s in ports))))
+    assert count == len(vectors) == 2 ** 10
+    assert list(zip(*(out[f"{name}_out"] for name, _, _ in ports))) == vectors
 
 
 def _awkward_circuit(rng: random.Random) -> Circuit:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,8 +15,8 @@ from gatemul.multipliers import (
     generate,
     mixed_sign_multiplier,
 )
-from gatemul.netlist import Circuit, Gate, GateKind, Signedness
-from gatemul.sim import evaluate, value_range
+from gatemul.netlist import Circuit, CircuitBuilder, Gate, GateKind, Signedness
+from gatemul.sim import evaluate, evaluate_vector_array, value_range
 from gatemul.verify import (
     VerifyReport,
     _draw,
@@ -177,6 +178,16 @@ class TestRandom:
         c = baugh_wooley_multiplier(4)
         with pytest.raises(ValueError, match=rf"^count must be an int, got {count!r}$"):
             verify_random(c, BW4_SPEC, count=count, seed=0)
+
+    @pytest.mark.parametrize("seed", [None, 2.5, "3", -1, True])
+    def test_seed_must_be_a_nonnegative_int(self, monkeypatch, seed):
+        def no_draws(*args):
+            raise AssertionError("operands drawn before the seed was checked")
+
+        monkeypatch.setattr(gatemul.verify, "_draw", no_draws)
+        c = baugh_wooley_multiplier(4)
+        with pytest.raises(ValueError, match=rf"^seed must be a non-negative int, got {seed!r}$"):
+            verify_random(c, BW4_SPEC, count=5, seed=seed)
 
     def test_failures_sorted_by_input_vector(self):
         # Flipping a partial product breaks many vectors; order must be sorted.
@@ -531,3 +542,90 @@ class TestJsonReport:
         doc = json.loads(reports[1].to_json())
         assert doc["failures"][2]["inputs"] == {"x%d": 1, 'q"\u00e9': -2, "z": 0}
         assert doc["failures"][0]["expected"] == -(3 << 70)
+
+
+def _operands(circuit: Circuit) -> SimpleNamespace:
+    """What verify reads of a spec, from the circuit's two input ports."""
+    pa, pb = circuit.inputs
+    return SimpleNamespace(width_a=pa.width, width_b=pb.width,
+                           sign_a=pa.signedness, sign_b=pb.signedness)
+
+
+def _narrowed(circuit: Circuit, width_a: int, width_b: int,
+              out_width: int | None = None, out_sign: Signedness | None = None) -> Circuit:
+    """An n x n multiplier behind operand ports of these widths (at most n).
+
+    Each inner operand bit above a port's width repeats the port's top bit
+    if it is signed and is 0 if not, so the product is unchanged.  The output
+    port holds the product's low ``out_width`` bits (``width_a + width_b``
+    by default, where the product always fits), extended the same way.
+    """
+    b = CircuitBuilder(f"{circuit.name}_{width_a}x{width_b}")
+    nets = {}
+    for port, width in zip(circuit.inputs, (width_a, width_b)):
+        bits = b.add_input(port.name, width, port.signedness)
+        top = bits[-1] if port.signedness is S else b.const0()
+        nets.update(zip(port.bits, bits + [top] * (port.width - width)))
+    for g in circuit.gates:
+        nets[g.output] = b.add_gate(g.kind, [nets[i] for i in g.inputs])
+    (po,) = circuit.outputs
+    product = [nets[i] for i in po.bits]
+    out_width = out_width or width_a + width_b
+    top = product[-1] if po.signedness is S else b.const0()
+    bits = (product + [top] * out_width)[:out_width]
+    b.add_output(po.name, bits, po.signedness if out_sign is None else out_sign)
+    return b.finalize()
+
+
+def _cross_product_failures(circuit: Circuit) -> tuple[int, list]:
+    """Vector count and failing rows of the A-major cross product built with
+    numpy and run through ``evaluate_vector_array``."""
+    pa, pb = circuit.inputs
+    (po,) = circuit.outputs
+    a, b = (np.arange(lo, hi + 1)
+            for lo, hi in (value_range(p.width, p.signedness) for p in (pa, pb)))
+    a, b = np.repeat(a, len(b)), np.tile(b, len(a))
+    actual = evaluate_vector_array(circuit, {pa.name: a, pb.name: b})[po.name]
+    expected = a * b
+    return len(a), [
+        ({pa.name: int(a[k]), pb.name: int(b[k])}, int(expected[k]), int(actual[k]))
+        for k in np.flatnonzero(actual != expected)
+    ]
+
+
+class TestExhaustiveSweep:
+    """The numpy-free sweep reports exactly the failures that
+    ``evaluate_vector_array`` shows on the numpy-built cross product."""
+
+    @staticmethod
+    def _agrees(circuit: Circuit) -> bool:
+        report = verify_exhaustive(circuit, _operands(circuit))
+        count, rows = _cross_product_failures(circuit)
+        assert report.total_vectors == count
+        assert report.failures == rows
+        assert report.passed is not rows
+        return report.passed
+
+    @pytest.mark.parametrize("width_a", range(1, 9))
+    @pytest.mark.parametrize("sa, sb", SIGN_PAIRS)
+    def test_every_width_pair(self, sa, sb, width_a):
+        for width_b in range(1, 9):
+            n = max(width_a, width_b)
+            c = _narrowed(mixed_sign_multiplier(n, sa, sb), width_a, width_b)
+            assert self._agrees(c)
+            if n == 1 and sa is not sb:  # one NAND2, no AND2
+                assert not self._agrees(flip_gate(c, partial_product_gates(c)[0]))
+            else:
+                assert not self._agrees(first_and_to_or(c))
+
+    @pytest.mark.parametrize("out_width", [3, 5, 11, 64, 70, 130])
+    @pytest.mark.parametrize("sa, sb", SIGN_PAIRS)
+    def test_output_port_widths(self, sa, sb, out_width):
+        # A port that cannot hold every product fails on those it cannot.
+        inner = mixed_sign_multiplier(6, sa, sb)
+        corners = [x * y for x in value_range(6, sa) for y in value_range(5, sb)]
+        for out_sign in (S, U):
+            c = _narrowed(inner, 6, 5, out_width, out_sign)
+            lo, hi = value_range(out_width, out_sign)
+            assert self._agrees(c) is (lo <= min(corners) and max(corners) <= hi)
+            assert not self._agrees(first_and_to_or(c))
