@@ -59,8 +59,9 @@ def _make_spec(
     )
 
 
-def _print(text: str, end: str = "\n") -> None:
-    """Write one command's output to stdout and flush it.
+def _print(text: str, end: str = "\n") -> bool:
+    """Write one command's output to stdout and flush it; False if the
+    reader has gone, so that the rest need not be made.
 
     If the write fails, stdout is pointed at the null device, so that the
     interpreter's flush at exit cannot fail again.  A closed pipe then ends
@@ -74,6 +75,8 @@ def _print(text: str, end: str = "\n") -> None:
         os.close(devnull)
         if not isinstance(exc, BrokenPipeError):
             raise ValueError(f"cannot write stdout: {exc}") from exc
+        return False
+    return True
 
 
 def _cmd_gen(args) -> int:
@@ -129,7 +132,9 @@ def _cmd_verify(args) -> int:
     else:
         report = verify_exhaustive(circuit, spec)
     if args.format == "json":
-        _print(report.to_json(), end="")
+        for block in report.json_blocks():  # written as they are made
+            if not _print(block, end=""):
+                break
     else:
         _print(report.to_text())
     return 0 if report.passed else 1
@@ -222,8 +227,9 @@ def main(argv: list[str] | None = None) -> int:
     The one place that maps a refused input to exit 2: a ``ValueError``
     from a command or from writing stdout (``--help`` included), or an
     ``OverflowError``/``MemoryError`` from a size too large to build or
-    verify.  Other exceptions are bugs and keep their traceback.  ``gen``
-    and ``compare`` pause the cyclic GC, which frees none of their acyclic
+    verify (``error: out of memory``, whatever the ``MemoryError`` says).
+    Other exceptions are bugs and keep their traceback.  ``gen`` and
+    ``compare`` pause the cyclic GC, which frees none of their acyclic
     gates; ``verify`` does not, as a pause there keeps numpy's import
     garbage and raises peak RSS.  numpy's OpenBLAS, which no command
     calls, gets one thread unless ``OPENBLAS_NUM_THREADS`` is already set."""
@@ -238,10 +244,9 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             gc.enable()
     except (ValueError, OverflowError, MemoryError) as exc:
-        # A list of 2**62 nets fails at once with a MemoryError and no text.
-        reason = str(exc)
-        if not reason and isinstance(exc, MemoryError):
-            reason = "out of memory"
+        # A list of 2**62 nets fails at once with a MemoryError and no text;
+        # numpy's names an array shape, which says nothing to the user.
+        reason = "out of memory" if isinstance(exc, MemoryError) else exc
         print(f"error: {reason}", file=sys.stderr)
         return 2
 

@@ -5,27 +5,36 @@ compare.  It never touches generator or simulator word paths, so a bug in
 the netlist machinery cannot hide itself.  The exhaustive sweep runs
 without numpy: the simulator's lane batch of every operand pair gives the
 products as a list, against ``[x * y for x in range_a for y in range_b]``.
-The random run multiplies numpy int64 arrays when every operand and every
-product fits in int64 (decided from the port ranges with Python ints) and
-exact Python ints otherwise.  numpy is imported inside the functions that
-use it, not at module top, so importing gatemul (as ``gen`` and
-``compare`` do) does not load it.  Both entry points first refuse a spec
-whose operand widths or signs differ from the circuit's ports, before any
-vector is made; every other operand fact (ranges, boundary values, draws,
-the oracle's dtype) is the ports'.
+The random run streams: it draws, simulates, multiplies and compares one
+chunk of ``sim._CHUNK`` (65,536) vectors at a time and keeps only the
+failing vectors, so a passing run holds one chunk whatever its count.  It
+multiplies numpy int64 arrays when every operand and every product fits in
+int64 (decided from the port ranges with Python ints) and exact Python
+ints otherwise.  numpy is imported inside the functions that use it, not at
+module top, so importing gatemul (as ``gen`` and ``compare`` do) does not
+load it.  Both entry points first refuse a spec whose operand widths or
+signs differ from the circuit's ports, before any vector is made; every
+other operand fact (ranges, boundary values, draws, the oracle's dtype) is
+the ports'.
 
 A report's ``failures`` is a read-only sequence of ``(inputs, expected,
-actual)`` rows.  The failing vectors stay in four columns, numpy arrays or
-lists of Python ints, and a row's tuple is built only when the row is read:
-a FAIL report that prints 20 witnesses builds 20 tuples, however many
-vectors failed.
+actual)`` rows in (A, B) order.  The failing vectors stay in four columns,
+lists of Python ints after an exhaustive run (already in that order) and
+numpy arrays of the narrowest integer dtype that holds each column after a
+random run (in vector order).  Those are ordered when a row is read, on
+one int64 key per row: a read among the first 20 rows partitions the keys
+and sorts only the rows it needs, any other read sorts them all once.  A
+row's tuple is built only when the row is read: a FAIL report that prints
+20 witnesses builds 20 tuples, however many vectors failed.  The JSON
+report is written from the columns, a block of rows at a time.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from collections.abc import Sequence
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import TYPE_CHECKING
@@ -33,6 +42,7 @@ from typing import TYPE_CHECKING
 from .multipliers import MultiplierSpec
 from .netlist import Circuit
 from .sim import (
+    _CHUNK,
     _evaluate_sweep,
     _ints_from_limbs,
     evaluate_vector_array,
@@ -51,7 +61,10 @@ RANDOM_ALGORITHM = "numpy-pcg64"
 EXHAUSTIVE_MAX_WIDTH = 8
 
 # Most random vectors :func:`verify_random` draws: 2**24 check bw16 in about
-# 2 s at under 600 MB.
+# 2.5 s.  The process peaks at 43 MB RSS when they pass, as a run holds one
+# chunk of vectors at a time, and at 263 MB when half of them fail (text
+# report; 295 MB for JSON): the failing vectors take 12 bytes each at 16
+# bits, and their sort key and its partition or argsort 16 more.
 _MAX_COUNT = 1 << 24
 
 # Failing vectors that ``VerifyReport.to_text`` lists before "... and N more".
@@ -61,37 +74,46 @@ _MAX_WITNESSES = 20
 # One failing vector: its operands by port name, the product, the netlist's output.
 _Failure = tuple[dict[str, int], int, int]
 
-# Rows built per step when a failure sequence is iterated.
+# Rows built per step when a failure sequence is iterated or written as JSON.
 _ROW_BLOCK = 4096
 
 
 class _Failures(Sequence):
-    """The failing vectors of one run, held as four equal-length columns,
-    numpy arrays or lists of Python ints.
+    """The failing vectors of one run, held as four equal-length columns
+    (A, B, expected, actual): numpy arrays or lists of Python ints.
 
     A row reads as ``({name_a: a, name_b: b}, expected, actual)`` with Python
     ints, the tuple a list of failures would hold; it is built when indexed,
-    sliced (a slice is a list) or iterated.  Equality is element-wise with
-    any sequence, as for a list.
+    sliced (a slice is a list) or iterated.  Rows read in (A, B) order, equal
+    pairs in vector order.  Columns given with their operand ports are in
+    vector order: a read among the first ``_MAX_WITNESSES`` rows (the text
+    report's witnesses) sorts only the rows up to its last one, ties
+    included, found by a partition; any other read sorts every row once and
+    keeps that order.  Equality is element-wise with any sequence, as for a
+    list.
     """
 
-    __slots__ = ("_names", "_a", "_b", "_expected", "_actual")
+    __slots__ = ("_names", "_columns", "_ports", "_order")
 
-    def __init__(self, names: tuple[str, str], a, b, expected, actual):
+    def __init__(self, names: tuple[str, str], columns, ports=None):
+        """``ports``, the operand ports, when ``columns`` are in vector
+        order; None when they are in (A, B) order already."""
         self._names = names
-        self._a, self._b, self._expected, self._actual = a, b, expected, actual
+        self._columns = columns
+        self._ports = ports
+        self._order = None
 
     def __len__(self) -> int:
-        return len(self._a)
+        return len(self._columns[0])
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return self._rows(index)
-        i = range(len(self._a))[index]  # int index rules, IndexError included
+        i = range(len(self))[index]  # int index rules, IndexError included
         return self._rows(slice(i, i + 1))[0]
 
     def __iter__(self):
-        for start in range(0, len(self._a), _ROW_BLOCK):
+        for start in range(0, len(self), _ROW_BLOCK):
             yield from self._rows(slice(start, start + _ROW_BLOCK))
 
     def __eq__(self, other):
@@ -104,11 +126,104 @@ class _Failures(Sequence):
 
     def _rows(self, index: slice) -> list[_Failure]:
         name_a, name_b = self._names
-        columns = (self._a[index], self._b[index], self._expected[index], self._actual[index])
-        return [
-            ({name_a: a, name_b: b}, e, g)
-            for a, b, e, g in zip(*(c if type(c) is list else c.tolist() for c in columns))
-        ]
+        return [({name_a: a, name_b: b}, e, g) for a, b, e, g in zip(*self._values(index))]
+
+    def _values(self, index: slice) -> list[list[int]]:
+        """Each column's Python ints at the rows of this (A, B)-order slice."""
+        at = self._index(index)
+        return [c[at] if type(c) is list else c[at].tolist() for c in self._columns]
+
+    def _index(self, index: slice):
+        """Where the rows of this (A, B)-order slice sit in the columns: the
+        slice itself or an index array."""
+        if self._ports is None:
+            return index
+        if self._order is None:
+            positions = range(len(self))[index]
+            key = self._key() if max(positions, default=0) < _MAX_WITNESSES else None
+            if key is not None:
+                return _head(key, positions)
+            self._order = self._sort()
+        return self._order[index]
+
+    def _key(self) -> np.ndarray | None:
+        """``a * 2**width_b + b`` as int64, one per row, which sorts as (A, B)
+        because ``hi_b - lo_b < 2**width_b``; None when the operands are
+        wider than 63 bits together, where it may not fit in int64."""
+        import numpy as np
+
+        pa, pb = self._ports
+        if pa.width + pb.width > 63:
+            return None
+        a, b = self._columns[:2]
+        key = a.astype(np.int64)
+        key <<= pb.width
+        key += b
+        return key
+
+    def _sort(self) -> np.ndarray:
+        """Column indices of every row in (A, B) order, equal pairs in vector
+        order."""
+        import numpy as np
+
+        key = self._key()
+        if key is None:
+            a, b = self._columns[:2]
+            return np.lexsort((b, a))
+        return np.argsort(key, kind="stable")
+
+
+def _head(key: np.ndarray, positions: range) -> np.ndarray:
+    """Indices of the rows at these positions, each below
+    ``_MAX_WITNESSES``, of the stable order of ``key``.
+
+    A partition finds the key at the last position; only the rows up to that
+    key (every tie included) are sorted.
+    """
+    import numpy as np
+
+    if not positions:
+        return np.empty(0, np.intp)
+    last = max(positions)
+    rows = np.flatnonzero(key <= np.partition(key, last)[last])
+    rows = rows[np.argsort(key[rows], kind="stable")]
+    return rows[np.asarray(positions)]
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+# A report as ``json.dumps(doc, indent=2)`` writes it, up to its failures.
+_REPORT_JSON = (
+    '{\n  "mode": %s,\n  "passed": %s,\n  "total_vectors": %s,\n'
+    '  "boundary_vectors": %s,\n  "requested_count": %s,\n  "seed": %s,\n'
+    '  "algorithm": %s,\n  "failures": '
+)
+
+
+def _failure_template(names) -> str:
+    """%-template of one failure of the JSON report whose inputs have these
+    names; the input values, then the expected and actual product fill it."""
+    inputs = ",\n".join(
+        f"        {_quote(name).replace('%', '%%')}: %d" for name in names
+    )
+    inputs = "{\n" + inputs + "\n      }" if inputs else "{}"
+    return '    {\n      "inputs": ' + inputs + ',\n      "expected": %d,\n      "actual": %d\n    }'
+
+
+def _failure_blocks(failures: Sequence[_Failure]) -> Iterator[str]:
+    """The failures of the JSON report, ``_ROW_BLOCK`` at a time, each block
+    its rows joined by ``",\\n"``.  The rows of a :class:`_Failures` are
+    written from its columns with one template; any other sequence's rows
+    each with their own."""
+    template = _failure_template(failures._names) if isinstance(failures, _Failures) else None
+    for start in range(0, len(failures), _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        if template is None:
+            rows = [_failure_template(inputs) % (*inputs.values(), expected, actual)
+                    for inputs, expected, actual in failures[block]]
+        else:
+            rows = [template % values for values in zip(*failures._values(block))]
+        yield ",\n".join(rows)
 
 
 @dataclass
@@ -151,21 +266,26 @@ class VerifyReport:
                 lines.append(f"  ... and {len(self.failures) - _MAX_WITNESSES} more")
         return "\n".join(lines)
 
+    def json_blocks(self) -> Iterator[str]:
+        """The JSON report in blocks of text, at most ``_ROW_BLOCK`` failures
+        each; joined, they are ``json.dumps(doc, indent=2) + "\\n"`` of the
+        fields, each failure as ``{"inputs", "expected", "actual"}``."""
+        head = _REPORT_JSON % tuple(map(json.dumps, (
+            self.mode, self.passed, self.total_vectors, self.boundary_vectors,
+            self.requested_count, self.seed, self.algorithm,
+        )))
+        blocks = _failure_blocks(self.failures)
+        first = next(blocks, None)
+        if first is None:
+            yield head + "[]\n}\n"
+            return
+        yield head + "[\n" + first
+        for block in blocks:
+            yield ",\n" + block
+        yield "\n  ]\n}\n"
+
     def to_json(self) -> str:
-        doc = {
-            "mode": self.mode,
-            "passed": self.passed,
-            "total_vectors": self.total_vectors,
-            "boundary_vectors": self.boundary_vectors,
-            "requested_count": self.requested_count,
-            "seed": self.seed,
-            "algorithm": self.algorithm,
-            "failures": [
-                {"inputs": inputs, "expected": expected, "actual": actual}
-                for inputs, expected, actual in self.failures
-            ],
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        return "".join(self.json_blocks())
 
 
 def oracle_product(a: int, b: int, spec: MultiplierSpec) -> int:
@@ -205,28 +325,6 @@ def _cross(a_vals: np.ndarray, b_vals: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.repeat(a_vals, len(b_vals)), np.tile(b_vals, len(a_vals))
 
 
-def _run(circuit: Circuit, ports, a_vals, b_vals):
-    """Failing vectors against whole-array ``a * b``, unchecked (the simulator
-    checks operands against the ports): int64 when every operand and product
-    fits in int64, else exact Python ints in an object array."""
-    import numpy as np
-
-    pa, pb, po = ports
-    ra, rb = value_range(pa.width, pa.signedness), value_range(pb.width, pb.signedness)
-    if fits_int64(*ra, *rb, *(x * y for x in ra for y in rb)):
-        expected = a_vals * b_vals
-    else:
-        expected = a_vals.astype(object) * b_vals.astype(object)
-    out = evaluate_vector_array(circuit, {pa.name: a_vals, pb.name: b_vals})
-    actual = out[po.name]
-    bad = np.flatnonzero(actual != expected)
-    # Sorted by (A, B); stable, so equal pairs keep vector order.
-    bad = bad[np.lexsort((b_vals[bad], a_vals[bad]))]
-    return _Failures(
-        (pa.name, pb.name), a_vals[bad], b_vals[bad], expected[bad], actual[bad]
-    )
-
-
 def verify_exhaustive(circuit: Circuit, spec: MultiplierSpec) -> VerifyReport:
     """Sweep every operand pair (at most :data:`EXHAUSTIVE_MAX_WIDTH` bits);
     collects all failures, never stops early.  Runs without numpy."""
@@ -243,13 +341,12 @@ def verify_exhaustive(circuit: Circuit, spec: MultiplierSpec) -> VerifyReport:
     # Vector k is (lo_a + k // 2**nb, lo_b + k % 2**nb): (A, B) order already.
     bad = [] if actual == expected else list(
         compress(range(count), map(operator.ne, actual, expected)))
-    failures = _Failures(
-        (pa.name, pb.name),
+    failures = _Failures((pa.name, pb.name), (
         [lo_a + (k >> pb.width) for k in bad],
         [lo_b + (k & (hi_b - lo_b)) for k in bad],
         list(map(expected.__getitem__, bad)),
         list(map(actual.__getitem__, bad)),
-    )
+    ))
     return VerifyReport(mode="exhaustive", total_vectors=count, failures=failures)
 
 
@@ -294,6 +391,14 @@ def verify_random(
     recorded in the report so runs are reproducible elsewhere.  One PCG64
     generator draws ``count`` values for A, then ``count`` for B (see
     :func:`_draw` for operand ranges wider than int64).
+
+    The vectors, the boundary pairs first, are drawn, simulated, multiplied
+    and compared ``_CHUNK`` at a time; only the failing ones are kept, in
+    vector order and the narrowest dtype of each column.  A second generator
+    from the same seed draws A's values once, only to reach the state that
+    B's draws start from.  The bit generator keeps the unused half of a
+    64-bit word between calls, so draws made chunk by chunk are those of one
+    call per operand.
     """
     if type(count) is not int:
         raise ValueError(f"count must be an int, got {count!r}")
@@ -310,14 +415,42 @@ def verify_random(
         np.array(boundary_values(p.width, p.signedness), dtype=port_dtype(p.width, p.signedness))
         for p in (pa, pb)
     ))
-    rng = np.random.default_rng(seed)
-    a_vals = np.concatenate([corner_a, _draw(rng, pa.width, pa.signedness, count)])
-    b_vals = np.concatenate([corner_b, _draw(rng, pb.width, pb.signedness, count)])
-    failures = _run(circuit, (pa, pb, po), a_vals, b_vals)
+    # Draws per chunk: the first chunk also holds the boundary pairs.
+    sizes = [min(start + _CHUNK, count) - max(start, 0)
+             for start in range(-len(corner_a), count, _CHUNK)]
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in sizes:
+        _draw(rng_b, pa.width, pa.signedness, n)
+    ra, rb = value_range(pa.width, pa.signedness), value_range(pb.width, pb.signedness)
+    products = [x * y for x in ra for y in rb]
+    in_int64 = fits_int64(*ra, *rb, *products)
+    # Each column's narrowest signed dtype (every range holds 0), object
+    # past int64.
+    dtypes = [np.min_scalar_type(min(lo, -hi - 1)) for lo, hi in (
+        ra, rb, (min(products), max(products)), value_range(po.width, po.signedness))]
+    # The failing values of each column, in vector order: an array.array,
+    # whose buffer grows in place, for an integer dtype; pieces for object.
+    stores = [[] if dtype == object else array(dtype.char) for dtype in dtypes]
+    for k, n in enumerate(sizes):
+        a = _draw(rng_a, pa.width, pa.signedness, n)
+        b = _draw(rng_b, pb.width, pb.signedness, n)
+        if k == 0:
+            a, b = np.concatenate([corner_a, a]), np.concatenate([corner_b, b])
+        # The simulator checks every operand against its port's range.
+        actual = evaluate_vector_array(circuit, {pa.name: a, pb.name: b})[po.name]
+        expected = a * b if in_int64 else a.astype(object) * b.astype(object)
+        bad = np.flatnonzero(actual != expected)
+        for store, column, dtype in zip(stores, (a, b, expected, actual), dtypes):
+            if dtype == object:
+                store.append(column[bad])
+            else:
+                store.frombytes(column[bad].astype(dtype).tobytes())
+    columns = tuple(np.concatenate(store) if dtype == object else np.frombuffer(store, dtype)
+                    for store, dtype in zip(stores, dtypes))
     return VerifyReport(
         mode="random",
-        total_vectors=len(a_vals),
-        failures=failures,
+        total_vectors=len(corner_a) + count,
+        failures=_Failures((pa.name, pb.name), columns, (pa, pb)),
         boundary_vectors=len(corner_a),
         requested_count=count,
         seed=seed,

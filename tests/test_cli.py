@@ -14,6 +14,7 @@ from gatemul.emit import from_json, to_json
 from gatemul.multipliers import baugh_wooley_multiplier
 from gatemul.netlist import CircuitBuilder, GateKind, Signedness
 from gatemul.sim import evaluate
+from gatemul.verify import _ROW_BLOCK, verify_random
 
 from test_emit import D16_SHA256
 from test_verify import flip_gate, partial_product_gates
@@ -234,6 +235,36 @@ class TestVerify:
         assert doc["passed"] is True
         assert doc["seed"] == 3
         assert doc["requested_count"] == 100
+
+    def test_json_report_written_a_block_at_a_time(self, tmp_path, capsys, monkeypatch):
+        c = baugh_wooley_multiplier(16)
+        mutant = flip_gate(c, partial_product_gates(c)[0])
+        path = tmp_path / "bw16_mutant.json"
+        path.write_text(to_json(mutant))
+        writes = []
+        real = cli._print
+
+        def recording_print(text, end="\n"):
+            writes.append(text)
+            return real(text, end)
+
+        monkeypatch.setattr(cli, "_print", recording_print)
+        assert run(["verify", str(path), "--random", "20000", "--format", "json"]) == 1
+        out = capsys.readouterr().out
+        spec = cli._Operands(16, 16, Signedness.SIGNED, Signedness.SIGNED)
+        assert out == verify_random(mutant, spec, count=20000, seed=0).to_json()
+        assert len(json.loads(out)["failures"]) > 2 * _ROW_BLOCK
+        assert len(writes) > 3 and "".join(writes) == out
+        # Once the reader has gone, no further block is made.
+        writes.clear()
+
+        def reader_gone(text, end="\n"):
+            writes.append(text)
+            return False
+
+        monkeypatch.setattr(cli, "_print", reader_gone)
+        assert run(["verify", str(path), "--random", "20000", "--format", "json"]) == 1
+        assert len(writes) == 1
 
     def test_sign_override(self, tmp_path, capsys):
         # An unsigned array netlist whose file marks A, B and P signed is
@@ -569,9 +600,12 @@ class TestCollectorState:
 
     @pytest.mark.parametrize("error, err", [
         (MemoryError(), "error: out of memory\n"),
+        # numpy's message names an array; the user is told the one fact.
+        (MemoryError("Unable to allocate 512. KiB for an array with shape (65536,) "
+                     "and data type int64"), "error: out of memory\n"),
         (OverflowError("Python int too large to convert to C ssize_t"),
          "error: Python int too large to convert to C ssize_t\n"),
-    ], ids=["MemoryError", "OverflowError"])
+    ], ids=["MemoryError", "numpy_MemoryError", "OverflowError"])
     def test_bare_memory_error_exits_2_and_restores_it(
         self, gc_state, monkeypatch, tmp_path, capsys, error, err
     ):

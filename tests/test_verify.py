@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -18,6 +19,8 @@ from gatemul.multipliers import (
 from gatemul.netlist import Circuit, CircuitBuilder, Gate, GateKind, Signedness
 from gatemul.sim import evaluate, evaluate_vector_array, value_range
 from gatemul.verify import (
+    _MAX_WITNESSES,
+    _ROW_BLOCK,
     VerifyReport,
     _draw,
     _Failures,
@@ -446,6 +449,24 @@ MUTANT_REPORTS = [
     (Architecture.DECOMPOSED, 4, 10113, _BW_RANDOM, _BW_EXHAUSTIVE),
 ]
 
+# Runs that cross a chunk boundary (65,536 vectors): a ragged tail, the
+# object and limb path of an operand wider than 64 bits, and a 2x2 netlist
+# whose 16 pairs repeat, so the order of equal pairs shows.
+MULTI_CHUNK_REPORTS = [
+    (MultiplierSpec(16, 16, S, S, Architecture.FLAT_BW), 200003, 11, 99594, (
+        "066767be9209522ccff72e4abd956cae575e4deaff1d7d57111b9b2a633be4ea",
+        "e8fbb02a0b68a1e7811f916da3d00df723e5a74d8b2b8e161f44a8b53636c684",
+    )),
+    (MultiplierSpec(65, 65, S, U, Architecture.FLAT_UNSIGNED_ARRAY), 65537, 65, 32750, (
+        "7ebdbe79dfb6755fcb1e29226fa52b55f3b3b5520143afe893fac5cb56b7c41e",
+        "0a75de2cb673da255df47ed883f8d0ef2cd8aaddc9ef9331dcd8871918440193",
+    )),
+    (MultiplierSpec(2, 2, S, S, Architecture.FLAT_BW), 70000, 4, 35061, (
+        "1b2c462b1e4e41edcdf7a68476207b9666746e0bd3c9730a522061e03f821bca",
+        "9de1d076761e4d27a48fdc816564c7596977ef7bb9d34bfd2ff41a25eb9bed26",
+    )),
+]
+
 
 class TestPinnedReportBytes:
     """Text and JSON reports of one-gate mutants, byte for byte."""
@@ -461,6 +482,14 @@ class TestPinnedReportBytes:
     def test_exhaustive_8_bit(self, arch, leaf, _, __, digests):
         spec = MultiplierSpec(8, 8, S, S, arch, leaf_width=leaf)
         report = verify_exhaustive(first_and_to_or(generate(spec)), spec)
+        assert (_sha256(report.to_text()), _sha256(report.to_json())) == digests
+
+    @pytest.mark.parametrize("spec, count, seed, nfail, digests", MULTI_CHUNK_REPORTS,
+                             ids=["bw16_ragged_tail", "65x65_limbs", "bw2_ties"])
+    def test_runs_over_several_chunks(self, spec, count, seed, nfail, digests):
+        report = verify_random(first_and_to_or(generate(spec)), spec, count=count, seed=seed)
+        assert len(report.failures) == nfail
+        assert report.total_vectors > gatemul.verify._CHUNK
         assert (_sha256(report.to_text()), _sha256(report.to_json())) == digests
 
 
@@ -500,6 +529,121 @@ class TestFailureSequence:
         text = report.to_text()
         assert text.endswith(f"... and {len(report.failures) - 20} more")
         assert 0 < sum(built) <= 20
+
+
+def _lexsorted_rows(failures: _Failures) -> list:
+    """A random run's failing rows in ``np.lexsort((b, a))`` order of its
+    vector-order columns."""
+    (name_a, name_b), (a, b, e, g) = failures._names, failures._columns
+    return [({name_a: int(a[i]), name_b: int(b[i])}, int(e[i]), int(g[i]))
+            for i in np.lexsort((b, a))]
+
+
+def _fresh(failures: _Failures) -> _Failures:
+    """The same failing vectors, not yet put in order."""
+    return _Failures(failures._names, failures._columns, failures._ports)
+
+
+def _tied_rows(count: int) -> _Failures:
+    """Failures on 2-bit signed operands, 16 pairs in all, whose ``actual``
+    is the vector's index, so equal pairs tell apart.  The first pair,
+    (-2, -2), is kept only 8 times: the first 20 rows span two pairs."""
+    ports = baugh_wooley_multiplier(2).inputs
+    a, b = np.random.default_rng(5).integers(-2, 1, size=(2, count), endpoint=True)
+    first = np.flatnonzero((a == -2) & (b == -2))
+    a, b = np.delete(a, first[8:]), np.delete(b, first[8:])
+    return _Failures(("A", "B"), (a, b, a * b, np.arange(len(a))), ports)
+
+
+def _mutant_run(spec: MultiplierSpec, count: int, seed: int) -> _Failures:
+    return verify_random(first_and_to_or(generate(spec)), spec, count=count, seed=seed).failures
+
+
+class TestLazyOrder:
+    """Rows read in ``np.lexsort((b, a))`` order, however they are read."""
+
+    @pytest.fixture(scope="class", params=["ties", "bw2", "bw16", "31x32", "32x32"])
+    def run(self, request):
+        """(failures, lexsorted rows): 2x2 has ties at every cut, and in
+        "ties" each of a tie's rows has its own ``actual``, so their order
+        shows; operands of 31 + 32 bits fill the int64 key; 32 + 32 bits take
+        ``np.lexsort``."""
+        if request.param == "ties":
+            failures = _tied_rows(3000)
+        elif request.param == "bw2":
+            failures = _mutant_run(MultiplierSpec(2, 2, S, S, Architecture.FLAT_BW), 3000, 1)
+        elif request.param == "bw16":
+            failures = _mutant_run(SPEC16, 20000, 6)
+        else:
+            width_a = int(request.param[:2])
+            inner = mixed_sign_multiplier(32, S, U)
+            c = first_and_to_or(_narrowed(inner, width_a, 32))
+            failures = verify_random(c, _operands(c), count=20000, seed=7).failures
+        assert len(failures) > 2 * _MAX_WITNESSES
+        return failures, _lexsorted_rows(failures)
+
+    @pytest.mark.parametrize("k", [0, 1, _MAX_WITNESSES, _MAX_WITNESSES + 1])
+    def test_head(self, run, k):
+        failures, rows = run
+        assert _fresh(failures)[:k] == rows[:k]
+
+    def test_every_row(self, run):
+        failures, rows = run
+        assert list(_fresh(failures)) == rows
+        assert _fresh(failures) == rows
+
+    @pytest.mark.parametrize("index", [
+        slice(-1, None), slice(-5, -1), slice(-1, -6, -1), slice(7, 2, -2),
+        slice(500, 520), slice(None, None, -1), slice(None, 30, 3),
+    ])
+    def test_slices(self, run, index):
+        failures, rows = run
+        assert _fresh(failures)[index] == rows[index]
+
+    @pytest.mark.parametrize("i", [0, 19, 20, -1, -21])
+    def test_single_rows(self, run, i):
+        failures, rows = run
+        assert _fresh(failures)[i] == rows[i]
+
+    def test_ties_at_the_witness_cut(self):
+        # The 20th and 21st rows are the same pair, and the first 20 span two
+        # pairs; the text report's partition keeps equal pairs in vector order.
+        failures = _tied_rows(3000)
+        rows = _lexsorted_rows(failures)
+        assert rows[_MAX_WITNESSES - 1][0] == rows[_MAX_WITNESSES][0] != rows[0][0]
+        assert _fresh(failures)[:_MAX_WITNESSES] == rows[:_MAX_WITNESSES]
+
+    def test_head_reads_sort_no_more_than_they_read(self, monkeypatch):
+        failures = _fresh(_mutant_run(SPEC16, 20000, 6))
+        rows = _lexsorted_rows(failures)
+
+        def no_full_sort(self):
+            raise AssertionError("a read among the first 20 rows sorted every row")
+
+        monkeypatch.setattr(_Failures, "_sort", no_full_sort)
+        assert failures[:_MAX_WITNESSES] == rows[:_MAX_WITNESSES]
+        assert failures[5:12] == rows[5:12]
+        assert failures[_MAX_WITNESSES - 1] == rows[_MAX_WITNESSES - 1]
+        assert failures._order is None
+
+
+class TestStreamedMemory:
+    def test_passing_run_holds_one_chunk(self):
+        # Unstreamed, the run held every vector: about 34 MiB here.
+        c = baugh_wooley_multiplier(16)
+        verify_random(c, SPEC16, count=1, seed=0)  # numpy loaded, program compiled
+        tracemalloc.start()
+        try:
+            report = verify_random(c, SPEC16, count=1_000_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 8 << 20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_failing_columns_are_narrow(self):
+        failures = _mutant_run(SPEC16, 5000, 2)
+        assert [c.dtype for c in failures._columns] == [np.int16, np.int16, np.int32, np.int32]
 
 
 def _indented_dump(text: str) -> str:
@@ -542,6 +686,19 @@ class TestJsonReport:
         doc = json.loads(reports[1].to_json())
         assert doc["failures"][2]["inputs"] == {"x%d": 1, 'q"\u00e9': -2, "z": 0}
         assert doc["failures"][0]["expected"] == -(3 << 70)
+
+    def test_blocks_join_to_the_report(self):
+        report = verify_random(first_and_to_or(generate(SPEC16)), SPEC16, count=20000, seed=8)
+        blocks = list(report.json_blocks())
+        nfail = len(report.failures)
+        # The head rides on the first block of rows; the tail is a block.
+        assert len(blocks) == -(-nfail // _ROW_BLOCK) + 1
+        assert "".join(blocks) == report.to_json()
+        assert len(json.loads(report.to_json())["failures"]) == nfail
+        for report in (VerifyReport(mode="exhaustive", total_vectors=0),
+                       verify_exhaustive(baugh_wooley_multiplier(4), BW4_SPEC)):
+            assert list(report.json_blocks()) == [report.to_json()]
+            assert report.to_json().endswith('"failures": []\n}\n')
 
 
 def _operands(circuit: Circuit) -> SimpleNamespace:
