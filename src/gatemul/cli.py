@@ -228,27 +228,26 @@ def main(argv: list[str] | None = None) -> int:
     from a command or from writing stdout (``--help`` included), or an
     ``OverflowError``/``MemoryError`` from a size too large to build or
     verify (``error: out of memory``, whatever the ``MemoryError`` says).
-    Other exceptions are bugs and keep their traceback.  ``gen`` and
-    ``compare`` pause the cyclic GC, which frees none of their acyclic
-    gates; ``verify`` does not, as a pause there keeps numpy's import
-    garbage and raises peak RSS.  numpy's OpenBLAS, which no command
-    calls, gets one thread unless ``OPENBLAS_NUM_THREADS`` is already set."""
+    Other exceptions are bugs and keep their traceback.  The cyclic GC,
+    which frees none of the acyclic gates, programs and rows a command
+    builds, is paused while the command runs, and the caller's state is
+    restored on every exit.  numpy's OpenBLAS, which no command calls,
+    gets one thread unless ``OPENBLAS_NUM_THREADS`` is already set."""
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    resume = gc.isenabled()
+    gc.disable()
     try:
         args = _build_parser().parse_args(argv)
-        if args.command not in ("gen", "compare") or not gc.isenabled():
-            return args.func(args)
-        gc.disable()
-        try:
-            return args.func(args)
-        finally:
-            gc.enable()
+        return args.func(args)
     except (ValueError, OverflowError, MemoryError) as exc:
         # A list of 2**62 nets fails at once with a MemoryError and no text;
         # numpy's names an array shape, which says nothing to the user.
         reason = "out of memory" if isinstance(exc, MemoryError) else exc
         print(f"error: {reason}", file=sys.stderr)
         return 2
+    finally:
+        if resume:
+            gc.enable()
 
 
 if __name__ == "__main__":

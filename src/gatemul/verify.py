@@ -5,12 +5,12 @@ compare.  It never touches generator or simulator word paths, so a bug in
 the netlist machinery cannot hide itself.  The exhaustive sweep runs
 without numpy: the simulator's lane batch of every operand pair gives the
 products as a list, against ``[x * y for x in range_a for y in range_b]``.
-The random run streams: it draws, simulates, multiplies and compares one
-chunk of ``sim._CHUNK`` (65,536) vectors at a time and keeps only the
-failing vectors, so a passing run holds one chunk whatever its count.  It
-multiplies numpy int64 arrays when every operand and every product fits in
-int64 (decided from the port ranges with Python ints) and exact Python
-ints otherwise.  numpy is imported inside the functions that use it, not at
+The random run streams: it simulates, multiplies and compares one chunk
+at a time, the boundary pairs first and then ``sim._CHUNK`` (65,536) draws
+at a time, and keeps only the failing vectors, so a passing run holds one
+chunk whatever its count.  It multiplies numpy int64 arrays when every
+operand and every product fits in int64 (decided from the port ranges with
+Python ints) and exact Python ints otherwise.  numpy is imported inside the functions that use it, not at
 module top, so importing gatemul (as ``gen`` and ``compare`` do) does not
 load it.  Both entry points first refuse a spec whose operand widths or
 signs differ from the circuit's ports, before any vector is made; every
@@ -36,7 +36,7 @@ import operator
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from typing import TYPE_CHECKING
 
 from .multipliers import MultiplierSpec
@@ -318,13 +318,6 @@ def _ports(circuit: Circuit, spec: MultiplierSpec):
     return pa, pb, circuit.outputs[0]
 
 
-def _cross(a_vals: np.ndarray, b_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair of an A value and a B value, A-major, as two arrays."""
-    import numpy as np
-
-    return np.repeat(a_vals, len(b_vals)), np.tile(b_vals, len(a_vals))
-
-
 def verify_exhaustive(circuit: Circuit, spec: MultiplierSpec) -> VerifyReport:
     """Sweep every operand pair (at most :data:`EXHAUSTIVE_MAX_WIDTH` bits);
     collects all failures, never stops early.  Runs without numpy."""
@@ -392,13 +385,13 @@ def verify_random(
     generator draws ``count`` values for A, then ``count`` for B (see
     :func:`_draw` for operand ranges wider than int64).
 
-    The vectors, the boundary pairs first, are drawn, simulated, multiplied
-    and compared ``_CHUNK`` at a time; only the failing ones are kept, in
-    vector order and the narrowest dtype of each column.  A second generator
-    from the same seed draws A's values once, only to reach the state that
-    B's draws start from.  The bit generator keeps the unused half of a
-    64-bit word between calls, so draws made chunk by chunk are those of one
-    call per operand.
+    The vectors are simulated, multiplied and compared a chunk at a time:
+    the boundary pairs are the first chunk, then the draws ``_CHUNK`` at a
+    time.  Only the failing ones are kept, in vector order and the narrowest
+    dtype of each column.  A second generator from the same seed draws A's
+    values once, only to reach the state that B's draws start from.  The bit
+    generator keeps the unused half of a 64-bit word between calls, so draws
+    made chunk by chunk are those of one call per operand.
     """
     if type(count) is not int:
         raise ValueError(f"count must be an int, got {count!r}")
@@ -411,13 +404,11 @@ def verify_random(
     pa, pb, po = _ports(circuit, spec)
     import numpy as np
 
-    corner_a, corner_b = _cross(*(
+    corner_a, corner_b = (
         np.array(boundary_values(p.width, p.signedness), dtype=port_dtype(p.width, p.signedness))
         for p in (pa, pb)
-    ))
-    # Draws per chunk: the first chunk also holds the boundary pairs.
-    sizes = [min(start + _CHUNK, count) - max(start, 0)
-             for start in range(-len(corner_a), count, _CHUNK)]
+    )
+    sizes = [min(_CHUNK, count - start) for start in range(0, count, _CHUNK)]
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
     for n in sizes:
         _draw(rng_b, pa.width, pa.signedness, n)
@@ -431,11 +422,12 @@ def verify_random(
     # The failing values of each column, in vector order: an array.array,
     # whose buffer grows in place, for an integer dtype; pieces for object.
     stores = [[] if dtype == object else array(dtype.char) for dtype in dtypes]
-    for k, n in enumerate(sizes):
-        a = _draw(rng_a, pa.width, pa.signedness, n)
-        b = _draw(rng_b, pb.width, pb.signedness, n)
-        if k == 0:
-            a, b = np.concatenate([corner_a, a]), np.concatenate([corner_b, b])
+    chunks = chain(
+        [(np.repeat(corner_a, len(corner_b)), np.tile(corner_b, len(corner_a)))],
+        ((_draw(rng_a, pa.width, pa.signedness, n), _draw(rng_b, pb.width, pb.signedness, n))
+         for n in sizes),
+    )
+    for a, b in chunks:
         # The simulator checks every operand against its port's range.
         actual = evaluate_vector_array(circuit, {pa.name: a, pb.name: b})[po.name]
         expected = a * b if in_int64 else a.astype(object) * b.astype(object)
@@ -447,11 +439,12 @@ def verify_random(
                 store.frombytes(column[bad].astype(dtype).tobytes())
     columns = tuple(np.concatenate(store) if dtype == object else np.frombuffer(store, dtype)
                     for store, dtype in zip(stores, dtypes))
+    boundary = len(corner_a) * len(corner_b)
     return VerifyReport(
         mode="random",
-        total_vectors=len(corner_a) + count,
+        total_vectors=boundary + count,
         failures=_Failures((pa.name, pb.name), columns, (pa, pb)),
-        boundary_vectors=len(corner_a),
+        boundary_vectors=boundary,
         requested_count=count,
         seed=seed,
         algorithm=RANDOM_ALGORITHM,

@@ -553,8 +553,8 @@ class TestRefusals:
 
 
 class TestCollectorState:
-    """main pauses the cyclic collector while gen and compare run and
-    leaves it as it found it; verify runs with it untouched."""
+    """main pauses the cyclic collector while any command runs and leaves it
+    as it found it."""
 
     @pytest.fixture(params=[True, False], ids=["gc_enabled", "gc_disabled"])
     def gc_state(self, request):
@@ -564,38 +564,45 @@ class TestCollectorState:
         (gc.enable if was else gc.disable)()
 
     @staticmethod
-    def _spy(monkeypatch, name):
-        """Record ``gc.isenabled()`` at each call of ``cli.<name>``."""
-        seen = []
+    def _spy(monkeypatch, name, seen):
+        """Record ``gc.isenabled()`` at each call of ``cli.<name>`` in ``seen``."""
         real = getattr(cli, name)
 
         def spy(*args, **kwargs):
-            seen.append(gc.isenabled())
+            seen.append((name, gc.isenabled()))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cli, name, spy)
-        return seen
 
-    @pytest.mark.parametrize("argv, code", [
-        (["gen", "--arch", "bw", "--width", "8", "--out", "{dir}/bw8.json"], 0),
+    @pytest.mark.parametrize("argv, code, called", [
+        (["gen", "--arch", "bw", "--width", "8", "--out", "{dir}/bw8.json"], 0,
+         ["generate"]),
         # Refused after generating: the output directory does not exist.
-        (["gen", "--arch", "bw", "--width", "8", "--out", "{dir}/missing/bw8.json"], 2),
-        (["compare", "--width", "8", "bw", "booth4", "decomposed:4"], 0),
-    ], ids=["gen", "gen_exit_2", "compare"])
-    def test_gen_and_compare_pause_it(self, gc_state, monkeypatch, tmp_path, argv, code):
-        seen = self._spy(monkeypatch, "generate")
+        (["gen", "--arch", "bw", "--width", "8", "--out", "{dir}/missing/bw8.json"], 2,
+         ["generate"]),
+        (["compare", "--width", "8", "bw", "booth4", "decomposed:4"], 0,
+         ["generate"] * 3),
+        (["verify", "{dir}/bw4.json"], 0, ["from_json", "verify_exhaustive"]),
+        (["verify", "{dir}/bw4.json", "--random", "50"], 0, ["from_json", "verify_random"]),
+        (["verify", "{dir}/bw4.json", "--format", "json"], 0,
+         ["from_json", "verify_exhaustive"]),
+        (["verify", "{dir}/bw4_mutant.json", "--random", "50"], 1,
+         ["from_json", "verify_random"]),
+        (["verify", "{dir}/garbage.json"], 2, ["from_json"]),
+    ], ids=["gen", "gen_exit_2", "compare", "verify", "verify_random", "verify_json",
+            "verify_exit_1", "verify_exit_2"])
+    def test_every_command_runs_with_it_paused(
+        self, gc_state, monkeypatch, tmp_path, capsys, argv, code, called
+    ):
+        c = baugh_wooley_multiplier(4)
+        (tmp_path / "bw4.json").write_text(to_json(c))
+        (tmp_path / "bw4_mutant.json").write_text(to_json(flip_gate(c, partial_product_gates(c)[0])))
+        (tmp_path / "garbage.json").write_text("not a netlist")
+        seen = []
+        for name in ("generate", "from_json", "verify_exhaustive", "verify_random"):
+            self._spy(monkeypatch, name, seen)
         assert run([a.format(dir=tmp_path) for a in argv]) == code
-        assert seen and not any(seen)
-        assert gc.isenabled() is gc_state
-
-    def test_verify_runs_with_it_as_found(self, gc_state, monkeypatch, tmp_path, capsys):
-        out = tmp_path / "bw4.json"
-        out.write_text(to_json(baugh_wooley_multiplier(4)))
-        exhaustive = self._spy(monkeypatch, "verify_exhaustive")
-        randomised = self._spy(monkeypatch, "verify_random")
-        assert run(["verify", str(out)]) == 0
-        assert run(["verify", str(out), "--random", "50"]) == 0
-        assert exhaustive == randomised == [gc_state]
+        assert seen == [(name, False) for name in called]
         assert gc.isenabled() is gc_state
 
     @pytest.mark.parametrize("error, err", [

@@ -493,6 +493,27 @@ class TestPinnedReportBytes:
         assert (_sha256(report.to_text()), _sha256(report.to_json())) == digests
 
 
+class TestChunkSize:
+    """A random report does not depend on how many draws a chunk holds."""
+
+    @pytest.mark.parametrize("spec, seed", [
+        (SPEC16, 11),
+        (MultiplierSpec(65, 65, S, U, Architecture.FLAT_UNSIGNED_ARRAY), 65),
+    ], ids=["bw16", "65x65_limbs"])
+    @pytest.mark.parametrize("chunk, count", [(1, 30), (7, 200), (4096, 4100)])
+    def test_reports_match_the_default_chunk(self, monkeypatch, spec, seed, chunk, count):
+        mutant = first_and_to_or(generate(spec))
+
+        def reported():
+            report = verify_random(mutant, spec, count=count, seed=seed)
+            return len(report.failures), report.to_text(), report.to_json()
+
+        want = reported()
+        assert want[0] > 0
+        monkeypatch.setattr(gatemul.verify, "_CHUNK", chunk)
+        assert reported() == want
+
+
 class TestFailureSequence:
     def test_indexing_slicing_and_iteration_agree(self):
         spec = MultiplierSpec(16, 16, S, S, Architecture.FLAT_BW)
