@@ -20,8 +20,9 @@ Python ints otherwise.  numpy is imported inside the functions that build or rea
 those arrays, not at module top, so importing gatemul (as ``gen`` and
 ``compare`` do) does not load it.  The exhaustive sweep of a narrow circuit
 needs no numpy at all: its input lanes are counting patterns built from
-repeated bytes, and its outputs are unpacked with ``int.to_bytes``, strided
-``bytearray`` writes and ``array.array``.
+repeated bytes.  One reader, :func:`_unpack_lanes`, and one 8x8 bit
+transpose, :func:`_transpose8`, unpack the output lanes of both: a vector
+array's in numpy, the sweep's with Python ints and ``array.array``.
 """
 
 from __future__ import annotations
@@ -241,15 +242,23 @@ def evaluate(circuit: Circuit, inputs: Mapping[str, int]) -> dict[str, int]:
     return out
 
 
-def _transpose8(words: np.ndarray) -> None:
-    """Transpose the 8x8 bit matrix held in each uint64, in place: bit
-    ``8*r + c`` trades places with bit ``8*c + r`` (Warren, *Hacker's
-    Delight*, section 7-3)."""
+def _transpose8(words: np.ndarray | int, groups: int) -> np.ndarray | int:
+    """Transpose the 8x8 bit matrix held in each of ``groups`` 64-bit words:
+    bit ``8*r + c`` trades places with bit ``8*c + r`` (Warren, *Hacker's
+    Delight*, section 7-3).
+
+    ``words`` is a uint64 array, changed in place, or one Python int holding
+    the words end to end, least significant first, with each mask repeated
+    per word; no masked bit moves past its own word.  Returns the words.
+    """
     for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
                         (28, 0x00000000F0F0F0F0)):
+        if isinstance(words, int):
+            mask = int.from_bytes(mask.to_bytes(8, "little") * groups, "little")
         t = ((words >> shift) ^ words) & mask
         words ^= t
         words ^= t << shift
+    return words
 
 
 def _pack_port(values: np.ndarray, width: int) -> list[int]:
@@ -277,7 +286,7 @@ def _pack_port(values: np.ndarray, width: int) -> list[int]:
     planes = np.zeros((nbytes, groups * 8), np.uint8)
     planes[:, :count] = limbs.view(np.uint8)[:, :nbytes].T
     words = planes.view("<u8")
-    _transpose8(words)
+    _transpose8(words, groups)
     # Now byte c of words[q, i] is byte i of lane 8*q + c.
     buf = memoryview(words.view(np.uint8).reshape(nbytes, groups, 8)
                      .transpose(0, 2, 1).tobytes())
@@ -285,70 +294,25 @@ def _pack_port(values: np.ndarray, width: int) -> list[int]:
             for j in range(width)]
 
 
-def _unpack_port(
-    lanes: Sequence[int], width: int, count: int, signedness: Signedness
-) -> np.ndarray:
-    """Inverse of :func:`_pack_port`: ``count`` port values from one lane per
-    bit, as an int64 or object array by :func:`port_dtype`."""
-    import numpy as np
-
-    groups = -(-count // 8)
-    nbytes = -(-width // 8)
-    raw = b"".join(lane.to_bytes(groups, "little") for lane in lanes)
-    raw += bytes(groups * (8 * nbytes - width))  # zero lanes up to whole bytes
-    # Byte c of words[q, i] is byte i of lane 8*q + c.
-    words = (np.frombuffer(raw, np.uint8).reshape(nbytes, 8, groups)
-             .transpose(0, 2, 1).copy().view("<u8").reshape(nbytes, groups))
-    _transpose8(words)
-    # Now byte q of vector k is planes[q, k].
-    planes = words.view(np.uint8)
-    limbs = np.zeros((count, -(-width // 64)), "<u8")
-    limb_bytes = limbs.view(np.uint8)
-    for q in range(nbytes):
-        limb_bytes[:, q] = planes[q, :count]
-    signed = signedness is Signedness.SIGNED
-    if port_dtype(width, signedness) is np.int64:
-        values = limbs.reshape(count).view(np.int64)
-        if signed:
-            # Move the sign bit to bit 63, then shift back arithmetically.
-            values <<= 64 - width
-            values >>= 64 - width
-        return values
-    acc = _ints_from_limbs(limbs)
-    if signed:
-        acc -= ((acc >> (width - 1)) & 1) << width
-    return acc
-
-
-# array.array typecodes by item size: (unsigned, signed).
+# array.array typecodes by item size: (unsigned, signed); numpy reads the same.
 _TYPECODES = {array(u).itemsize: (u, s) for u, s in zip("BHIQ", "bhiq")}
 
 
-def _transpose8_int(words: int, groups: int) -> int:
-    """:func:`_transpose8` on ``groups`` 64-bit words held in one Python int.
-
-    No masked bit moves past its own word, so the words never mix."""
-    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
-                        (28, 0x00000000F0F0F0F0)):
-        mask = int.from_bytes(mask.to_bytes(8, "little") * groups, "little")
-        t = ((words >> shift) ^ words) & mask
-        words ^= t ^ (t << shift)
-    return words
-
-
 def _unpack_lanes(
-    lanes: Sequence[int], width: int, count: int, signedness: Signedness
-) -> list[int]:
-    """:func:`_unpack_port` without numpy: ``count`` port values from one
-    lane per bit, as a list of Python ints.
+    lanes: Sequence[int], width: int, count: int, signedness: Signedness, np=None
+) -> list[int] | np.ndarray:
+    """Inverse of :func:`_pack_port`: ``count`` port values from one lane per
+    bit, as a list of Python ints, or, given the numpy module as ``np``, as
+    an int64 or object array by :func:`port_dtype`.
 
     Byte q of every value comes from lanes 8q to 8q + 7: their bytes,
     interleaved, make word i hold byte i of each of the eight lanes, and one
     8x8 bit transpose per word turns it into byte q of vectors 8i to 8i + 7.
     Those bytes go to every ``size``-th byte of one buffer.  A signed port's
     top lane stands in for the lanes above it, which sign-extends every value
-    to the whole item.  Up to 64 bits, one ``array.array`` of that item size
-    reads the buffer; a wider port reads one ``int.from_bytes`` per value.
+    to the whole item.  Up to 64 bits, one ``array.array`` or numpy buffer of
+    that item size reads the buffer; a wider port reads one
+    ``int.from_bytes`` per value.
     """
     groups = -(-count // 8)
     signed = signedness is Signedness.SIGNED
@@ -364,15 +328,21 @@ def _unpack_lanes(
         words = bytearray(8 * groups)
         for c, lane in enumerate(byte_lanes):
             words[c::8] = lane.to_bytes(groups, "little")
-        raw[q::size] = _transpose8_int(int.from_bytes(words, "little"), groups).to_bytes(
-            8 * groups, "little")
+        if np is None:
+            words = _transpose8(int.from_bytes(words, "little"), groups).to_bytes(
+                8 * groups, "little")
+        else:
+            _transpose8(np.frombuffer(words, "<u8"), groups)  # in place, in words
+        raw[q::size] = words
+    del raw[count * size:]  # the padding vectors
     if size in _TYPECODES:
-        values = array(_TYPECODES[size][signed], raw).tolist()
-    else:
-        values = [int.from_bytes(raw[i:i + size], "little", signed=signed)
-                  for i in range(0, len(raw), size)]
-    del values[count:]
-    return values
+        typecode = _TYPECODES[size][signed]
+        if np is None:
+            return array(typecode, raw).tolist()
+        return np.frombuffer(raw, typecode).astype(port_dtype(width, signedness))
+    values = [int.from_bytes(raw[i:i + size], "little", signed=signed)
+              for i in range(0, len(raw), size)]
+    return values if np is None else np.array(values, object)
 
 
 def _ints_from_limbs(limbs: np.ndarray) -> np.ndarray:
@@ -440,8 +410,8 @@ def evaluate_vector_array(
         bits = _evaluate_lanes(program, lanes, (1 << (stop - start)) - 1)
         at = 0
         for p in circuit.outputs:
-            out[p.name][start:stop] = _unpack_port(
-                bits[at:at + p.width], p.width, stop - start, p.signedness
+            out[p.name][start:stop] = _unpack_lanes(
+                bits[at:at + p.width], p.width, stop - start, p.signedness, np
             )
             at += p.width
     return out

@@ -411,7 +411,7 @@ class TestLaneDefinition:
                 bits = [encode(v, width, signedness) for v in vals]
                 assert lanes == [sum(bits[k][j] << k for k in range(count))
                                  for j in range(width)]
-                back = sim._unpack_port(lanes, width, count, signedness)
+                back = sim._unpack_lanes(lanes, width, count, signedness, np)
                 assert back.dtype == port_dtype(width, signedness)
                 assert back.tolist() == vals
 
@@ -443,14 +443,15 @@ class TestLaneDefinition:
             assert len(lanes) == width and all(lane >> count == 0 for lane in lanes)
             for k in probe:
                 assert [(lane >> k) & 1 for lane in lanes] == encode(int(arr[k]), width, signedness)
-            back = sim._unpack_port(lanes, width, count, signedness)
+            back = sim._unpack_lanes(lanes, width, count, signedness, np)
             assert back.dtype == dtype and np.array_equal(back, arr)
 
     @pytest.mark.parametrize("signedness", [S, U])
     def test_bytes_unpack_agrees(self, signedness):
         """The numpy-free unpack gives the values as a list of Python ints:
         every width and small count, and a whole chunk at the widths around
-        each array item size and past 64 bits."""
+        each array item size and past 64 bits.  The array reader agrees with
+        it at every width, on those counts and on one chunk and one vector."""
         rng = random.Random(5)
         for width in range(1, 131):
             if signedness is S and width == 1:
@@ -465,6 +466,32 @@ class TestLaneDefinition:
             lanes = sim._pack_port(np.array(vals, port_dtype(width, signedness)), width)
             back = sim._unpack_lanes(lanes, width, 65_536, signedness)
             assert all(type(v) is int for v in back) and back == vals
+        for width in range(1, 131):
+            if signedness is S and width == 1:
+                continue
+            for count in [*range(1, 18), 65_537]:
+                lanes = [rng.getrandbits(count) for _ in range(width)]
+                listed = sim._unpack_lanes(lanes, width, count, signedness)
+                assert sim._unpack_lanes(lanes, width, count, signedness, np).tolist() == listed
+
+
+@pytest.mark.parametrize("groups", [1, 3, 8_192])
+def test_transpose8_array_and_int_agree(groups):
+    """The in-place transpose of a uint64 array and the transpose of one
+    Python int of the same bytes give the same words; twice is the input."""
+    raw = random.Random(groups).randbytes(8 * groups)
+    words = np.frombuffer(raw, "<u8").copy()
+    assert sim._transpose8(words, groups) is words
+    as_int = sim._transpose8(int.from_bytes(raw, "little"), groups)
+    assert as_int.to_bytes(8 * groups, "little") == words.tobytes() != raw
+    assert sim._transpose8(as_int, groups) == int.from_bytes(raw, "little")
+    sim._transpose8(words, groups)
+    assert words.tobytes() == raw
+    # Bit 8*r + c of a word goes to bit 8*c + r.
+    for bit in (0, 1, 9, 14, 57, 63):
+        one = np.array([1 << bit], np.uint64)
+        sim._transpose8(one, 1)
+        assert int(one[0]) == 1 << (8 * (bit % 8) + bit // 8)
 
 
 def test_sweep_assigns_every_input_vector():
