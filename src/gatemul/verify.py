@@ -19,14 +19,13 @@ the ports'.
 
 A report's ``failures`` is a read-only sequence of ``(inputs, expected,
 actual)`` rows in (A, B) order.  The failing vectors stay in four columns,
-lists of Python ints after an exhaustive run (already in that order) and
-numpy arrays of the narrowest integer dtype that holds each column after a
-random run (in vector order).  Those are ordered when a row is read, on
-one int64 key per row: a read among the first 20 rows partitions the keys
-and sorts only the rows it needs, any other read sorts them all once.  A
-row's tuple is built only when the row is read: a FAIL report that prints
-20 witnesses builds 20 tuples, however many vectors failed.  The JSON
-report is written from the columns, a block of rows at a time.
+lists of Python ints after an exhaustive run, which finds them in that
+order, and numpy arrays of the narrowest integer dtype that holds each
+column after a random run, which sorts them once at its end with one
+``np.lexsort``.  A row's tuple is built only when the row is read: a FAIL
+report that prints 20 witnesses builds 20 tuples, however many vectors
+failed.  The JSON report is written from the columns, a block of rows at
+a time.
 """
 
 from __future__ import annotations
@@ -62,9 +61,9 @@ EXHAUSTIVE_MAX_WIDTH = 8
 
 # Most random vectors :func:`verify_random` draws: 2**24 check bw16 in about
 # 2.5 s.  The process peaks at 43 MB RSS when they pass, as a run holds one
-# chunk of vectors at a time, and at 263 MB when half of them fail (text
-# report; 295 MB for JSON): the failing vectors take 12 bytes each at 16
-# bits, and their sort key and its partition or argsort 16 more.
+# chunk of vectors at a time, and at 264 MB when half of them fail (text or
+# JSON report): the failing vectors take 12 bytes each at 16 bits, and
+# sorting them about 14 more, for the order and one sorted column at a time.
 _MAX_COUNT = 1 << 24
 
 # Failing vectors that ``VerifyReport.to_text`` lists before "... and N more".
@@ -80,28 +79,20 @@ _ROW_BLOCK = 4096
 
 class _Failures(Sequence):
     """The failing vectors of one run, held as four equal-length columns
-    (A, B, expected, actual): numpy arrays or lists of Python ints.
+    (A, B, expected, actual) in (A, B) order: numpy arrays or lists of
+    Python ints.
 
     A row reads as ``({name_a: a, name_b: b}, expected, actual)`` with Python
     ints, the tuple a list of failures would hold; it is built when indexed,
-    sliced (a slice is a list) or iterated.  Rows read in (A, B) order, equal
-    pairs in vector order.  Columns given with their operand ports are in
-    vector order: a read among the first ``_MAX_WITNESSES`` rows (the text
-    report's witnesses) sorts only the rows up to its last one, ties
-    included, found by a partition; any other read sorts every row once and
-    keeps that order.  Equality is element-wise with any sequence, as for a
-    list.
+    sliced (a slice is a list) or iterated.  Equality is element-wise with
+    any sequence, as for a list.
     """
 
-    __slots__ = ("_names", "_columns", "_ports", "_order")
+    __slots__ = ("_names", "_columns")
 
-    def __init__(self, names: tuple[str, str], columns, ports=None):
-        """``ports``, the operand ports, when ``columns`` are in vector
-        order; None when they are in (A, B) order already."""
+    def __init__(self, names: tuple[str, str], columns):
         self._names = names
         self._columns = columns
-        self._ports = ports
-        self._order = None
 
     def __len__(self) -> int:
         return len(self._columns[0])
@@ -129,65 +120,8 @@ class _Failures(Sequence):
         return [({name_a: a, name_b: b}, e, g) for a, b, e, g in zip(*self._values(index))]
 
     def _values(self, index: slice) -> list[list[int]]:
-        """Each column's Python ints at the rows of this (A, B)-order slice."""
-        at = self._index(index)
-        return [c[at] if type(c) is list else c[at].tolist() for c in self._columns]
-
-    def _index(self, index: slice):
-        """Where the rows of this (A, B)-order slice sit in the columns: the
-        slice itself or an index array."""
-        if self._ports is None:
-            return index
-        if self._order is None:
-            positions = range(len(self))[index]
-            key = self._key() if max(positions, default=0) < _MAX_WITNESSES else None
-            if key is not None:
-                return _head(key, positions)
-            self._order = self._sort()
-        return self._order[index]
-
-    def _key(self) -> np.ndarray | None:
-        """``a * 2**width_b + b`` as int64, one per row, which sorts as (A, B)
-        because ``hi_b - lo_b < 2**width_b``; None when the operands are
-        wider than 63 bits together, where it may not fit in int64."""
-        import numpy as np
-
-        pa, pb = self._ports
-        if pa.width + pb.width > 63:
-            return None
-        a, b = self._columns[:2]
-        key = a.astype(np.int64)
-        key <<= pb.width
-        key += b
-        return key
-
-    def _sort(self) -> np.ndarray:
-        """Column indices of every row in (A, B) order, equal pairs in vector
-        order."""
-        import numpy as np
-
-        key = self._key()
-        if key is None:
-            a, b = self._columns[:2]
-            return np.lexsort((b, a))
-        return np.argsort(key, kind="stable")
-
-
-def _head(key: np.ndarray, positions: range) -> np.ndarray:
-    """Indices of the rows at these positions, each below
-    ``_MAX_WITNESSES``, of the stable order of ``key``.
-
-    A partition finds the key at the last position; only the rows up to that
-    key (every tie included) are sorted.
-    """
-    import numpy as np
-
-    if not positions:
-        return np.empty(0, np.intp)
-    last = max(positions)
-    rows = np.flatnonzero(key <= np.partition(key, last)[last])
-    rows = rows[np.argsort(key[rows], kind="stable")]
-    return rows[np.asarray(positions)]
+        """Each column's Python ints at the rows of this slice."""
+        return [c[index] if type(c) is list else c[index].tolist() for c in self._columns]
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -387,11 +321,12 @@ def verify_random(
 
     The vectors are simulated, multiplied and compared a chunk at a time:
     the boundary pairs are the first chunk, then the draws ``_CHUNK`` at a
-    time.  Only the failing ones are kept, in vector order and the narrowest
-    dtype of each column.  A second generator from the same seed draws A's
-    values once, only to reach the state that B's draws start from.  The bit
-    generator keeps the unused half of a 64-bit word between calls, so draws
-    made chunk by chunk are those of one call per operand.
+    time.  Only the failing ones are kept, each column in its narrowest
+    dtype; at the end one ``np.lexsort`` puts them in (A, B) order.  A
+    second generator from the same seed draws A's values once, only to
+    reach the state that B's draws start from.  The bit generator keeps the
+    unused half of a 64-bit word between calls, so draws made chunk by
+    chunk are those of one call per operand.
     """
     if type(count) is not int:
         raise ValueError(f"count must be an int, got {count!r}")
@@ -437,13 +372,19 @@ def verify_random(
                 store.append(column[bad])
             else:
                 store.frombytes(column[bad].astype(dtype).tobytes())
-    columns = tuple(np.concatenate(store) if dtype == object else np.frombuffer(store, dtype)
-                    for store, dtype in zip(stores, dtypes))
+    columns = [np.concatenate(store) if dtype == object else np.frombuffer(store, dtype)
+               for store, dtype in zip(stores, dtypes)]
+    del stores
+    # Into (A, B) order.  Each unsorted column, and with it its store, is
+    # freed as its sorted copy replaces it: never two copies of every column.
+    order = np.lexsort((columns[1], columns[0]))
+    for i in range(len(columns)):
+        columns[i] = columns[i][order]
     boundary = len(corner_a) * len(corner_b)
     return VerifyReport(
         mode="random",
         total_vectors=boundary + count,
-        failures=_Failures((pa.name, pb.name), columns, (pa, pb)),
+        failures=_Failures((pa.name, pb.name), columns),
         boundary_vectors=boundary,
         requested_count=count,
         seed=seed,

@@ -552,66 +552,46 @@ class TestFailureSequence:
         assert 0 < sum(built) <= 20
 
 
-def _lexsorted_rows(failures: _Failures) -> list:
-    """A random run's failing rows in ``np.lexsort((b, a))`` order of its
-    vector-order columns."""
-    (name_a, name_b), (a, b, e, g) = failures._names, failures._columns
-    return [({name_a: int(a[i]), name_b: int(b[i])}, int(e[i]), int(g[i]))
-            for i in np.lexsort((b, a))]
-
-
-def _fresh(failures: _Failures) -> _Failures:
-    """The same failing vectors, not yet put in order."""
-    return _Failures(failures._names, failures._columns, failures._ports)
-
-
-def _tied_rows(count: int) -> _Failures:
-    """Failures on 2-bit signed operands, 16 pairs in all, whose ``actual``
-    is the vector's index, so equal pairs tell apart.  The first pair,
-    (-2, -2), is kept only 8 times: the first 20 rows span two pairs."""
-    ports = baugh_wooley_multiplier(2).inputs
-    a, b = np.random.default_rng(5).integers(-2, 1, size=(2, count), endpoint=True)
-    first = np.flatnonzero((a == -2) & (b == -2))
-    a, b = np.delete(a, first[8:]), np.delete(b, first[8:])
-    return _Failures(("A", "B"), (a, b, a * b, np.arange(len(a))), ports)
-
-
 def _mutant_run(spec: MultiplierSpec, count: int, seed: int) -> _Failures:
     return verify_random(first_and_to_or(generate(spec)), spec, count=count, seed=seed).failures
 
 
-class TestLazyOrder:
-    """Rows read in ``np.lexsort((b, a))`` order, however they are read."""
+class TestRowOrder:
+    """A random run's rows are in (A, B) order, however they are read."""
 
-    @pytest.fixture(scope="class", params=["ties", "bw2", "bw16", "31x32", "32x32"])
+    @pytest.fixture(scope="class", params=["bw2", "bw16", "31x32", "32x32", "65x65_limbs"])
     def run(self, request):
-        """(failures, lexsorted rows): 2x2 has ties at every cut, and in
-        "ties" each of a tie's rows has its own ``actual``, so their order
-        shows; operands of 31 + 32 bits fill the int64 key; 32 + 32 bits take
-        ``np.lexsort``."""
-        if request.param == "ties":
-            failures = _tied_rows(3000)
-        elif request.param == "bw2":
+        """(failures, every row): 2x2 has equal pairs at every cut; bw16's
+        rows span two iteration blocks; 31x32 and 32x32 mix int32 and int64
+        columns; 65 bits take object columns."""
+        if request.param == "bw2":
             failures = _mutant_run(MultiplierSpec(2, 2, S, S, Architecture.FLAT_BW), 3000, 1)
         elif request.param == "bw16":
-            failures = _mutant_run(SPEC16, 20000, 6)
+            failures = _mutant_run(SPEC16, 10000, 6)
+        elif request.param == "65x65_limbs":
+            failures = _mutant_run(
+                MultiplierSpec(65, 65, S, U, Architecture.FLAT_UNSIGNED_ARRAY), 1200, 65)
         else:
             width_a = int(request.param[:2])
             inner = mixed_sign_multiplier(32, S, U)
             c = first_and_to_or(_narrowed(inner, width_a, 32))
-            failures = verify_random(c, _operands(c), count=20000, seed=7).failures
+            failures = verify_random(c, _operands(c), count=5000, seed=7).failures
         assert len(failures) > 2 * _MAX_WITNESSES
-        return failures, _lexsorted_rows(failures)
+        return failures, list(failures)
+
+    def test_rows_are_sorted(self, run):
+        _, rows = run
+        assert rows == sorted(rows, key=lambda row: tuple(row[0].values()))
 
     @pytest.mark.parametrize("k", [0, 1, _MAX_WITNESSES, _MAX_WITNESSES + 1])
     def test_head(self, run, k):
         failures, rows = run
-        assert _fresh(failures)[:k] == rows[:k]
+        assert failures[:k] == rows[:k]
 
     def test_every_row(self, run):
         failures, rows = run
-        assert list(_fresh(failures)) == rows
-        assert _fresh(failures) == rows
+        assert failures == rows
+        assert failures[:] == rows  # one slice, against iteration's blocks
 
     @pytest.mark.parametrize("index", [
         slice(-1, None), slice(-5, -1), slice(-1, -6, -1), slice(7, 2, -2),
@@ -619,33 +599,12 @@ class TestLazyOrder:
     ])
     def test_slices(self, run, index):
         failures, rows = run
-        assert _fresh(failures)[index] == rows[index]
+        assert failures[index] == rows[index]
 
     @pytest.mark.parametrize("i", [0, 19, 20, -1, -21])
     def test_single_rows(self, run, i):
         failures, rows = run
-        assert _fresh(failures)[i] == rows[i]
-
-    def test_ties_at_the_witness_cut(self):
-        # The 20th and 21st rows are the same pair, and the first 20 span two
-        # pairs; the text report's partition keeps equal pairs in vector order.
-        failures = _tied_rows(3000)
-        rows = _lexsorted_rows(failures)
-        assert rows[_MAX_WITNESSES - 1][0] == rows[_MAX_WITNESSES][0] != rows[0][0]
-        assert _fresh(failures)[:_MAX_WITNESSES] == rows[:_MAX_WITNESSES]
-
-    def test_head_reads_sort_no_more_than_they_read(self, monkeypatch):
-        failures = _fresh(_mutant_run(SPEC16, 20000, 6))
-        rows = _lexsorted_rows(failures)
-
-        def no_full_sort(self):
-            raise AssertionError("a read among the first 20 rows sorted every row")
-
-        monkeypatch.setattr(_Failures, "_sort", no_full_sort)
-        assert failures[:_MAX_WITNESSES] == rows[:_MAX_WITNESSES]
-        assert failures[5:12] == rows[5:12]
-        assert failures[_MAX_WITNESSES - 1] == rows[_MAX_WITNESSES - 1]
-        assert failures._order is None
+        assert failures[i] == rows[i]
 
 
 class TestStreamedMemory:
@@ -661,6 +620,25 @@ class TestStreamedMemory:
             tracemalloc.stop()
         assert report.passed
         assert peak < 8 << 20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_failing_run_holds_its_rows_once(self):
+        # About 500k failing rows: 12 bytes each in narrow columns, plus the
+        # sort order and one sorted column at a time.  Sorting with every
+        # unsorted column kept alive needs about 34 bytes a row.
+        mutant = first_and_to_or(generate(SPEC16))
+        verify_random(mutant, SPEC16, count=1, seed=0)  # numpy loaded, program compiled
+        tracemalloc.start()
+        try:
+            report = verify_random(mutant, SPEC16, count=1_000_000, seed=0)
+            report.to_text()
+            for _ in report.json_blocks():
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = len(report.failures)
+        assert rows > 400_000
+        assert peak < 30 * rows, f"peak {peak / rows:.1f} bytes a failing row"
 
     def test_failing_columns_are_narrow(self):
         failures = _mutant_run(SPEC16, 5000, 2)
