@@ -15,22 +15,40 @@ import gc
 import os
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .emit import JsonFormatError, from_json, to_json, to_verilog
-from .multipliers import Architecture, Combiner, MultiplierSpec, generate
-from .netlist import Circuit, Signedness
-from .timing import DelayModel, compare, depth
-from .verify import verify_exhaustive, verify_random
+if TYPE_CHECKING:
+    from .multipliers import MultiplierSpec
+    from .netlist import Circuit, Signedness
 
+# The layer functions the commands call.  Each is read from the package, and
+# so imported with its module, when it is first read as an attribute of this
+# module; a command therefore loads only the layers it uses.  Commands call
+# them through ``_this``, so a wrapper set on this module is what runs.
+_LAYER_FUNCTIONS = frozenset({
+    "compare", "depth", "from_json", "generate", "to_json", "to_verilog",
+    "verify_exhaustive", "verify_random",
+})
+_this = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAYER_FUNCTIONS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(sys.modules[__package__], name)
+    globals()[name] = value
+    return value
+
+
+# Command-line tokens and the enum members they name.
 _ARCH_TOKENS = {
-    "bw": Architecture.FLAT_BW,
-    "array": Architecture.FLAT_UNSIGNED_ARRAY,
-    "booth4": Architecture.BOOTH_RADIX4,
-    "decomposed": Architecture.DECOMPOSED,
+    "bw": "FLAT_BW",
+    "array": "FLAT_UNSIGNED_ARRAY",
+    "booth4": "BOOTH_RADIX4",
+    "decomposed": "DECOMPOSED",
 }
-_COMBINER_TOKENS = {"csa": Combiner.CSA_TREE, "ripple": Combiner.RIPPLE_CASCADE}
-_SIGN_TOKENS = {"signed": Signedness.SIGNED, "unsigned": Signedness.UNSIGNED}
+_COMBINER_TOKENS = {"csa": "CSA_TREE", "ripple": "RIPPLE_CASCADE"}
+_SIGN_TOKENS = {"signed": "SIGNED", "unsigned": "UNSIGNED"}
 
 
 def _make_spec(
@@ -44,18 +62,20 @@ def _make_spec(
     """Spec for ``gen`` and ``compare`` from their tokens.  Signs default to
     unsigned for ``array`` and signed otherwise; a decomposed leaf defaults
     to half the width."""
-    arch = _ARCH_TOKENS[arch_token]
-    default_sign = "unsigned" if arch is Architecture.FLAT_UNSIGNED_ARRAY else "signed"
-    if arch is Architecture.DECOMPOSED and leaf is None:
+    from .multipliers import Architecture, Combiner, MultiplierSpec
+    from .netlist import Signedness
+
+    default_sign = "unsigned" if arch_token == "array" else "signed"
+    if arch_token == "decomposed" and leaf is None:
         leaf = width // 2
     return MultiplierSpec(
         width_a=width,
         width_b=width,
-        sign_a=_SIGN_TOKENS[sign_a or default_sign],
-        sign_b=_SIGN_TOKENS[sign_b or default_sign],
-        architecture=arch,
+        sign_a=Signedness[_SIGN_TOKENS[sign_a or default_sign]],
+        sign_b=Signedness[_SIGN_TOKENS[sign_b or default_sign]],
+        architecture=Architecture[_ARCH_TOKENS[arch_token]],
         leaf_width=leaf,
-        combiner=_COMBINER_TOKENS[combiner],
+        combiner=Combiner[_COMBINER_TOKENS[combiner]],
     )
 
 
@@ -86,25 +106,28 @@ def _cmd_gen(args) -> int:
     out = Path(args.out)
     if out.suffix not in (".json", ".v"):
         raise ValueError(f"output file must end in .json or .v, got {out.name!r}")
-    circuit = generate(spec)
-    text = to_json(circuit) if out.suffix == ".json" else to_verilog(circuit)
+    circuit = _this.generate(spec)
+    text = (_this.to_json(circuit) if out.suffix == ".json"
+            else _this.to_verilog(circuit))
     try:
         out.write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:
         raise ValueError(f"cannot write {out}: {exc}") from exc
     _print(
         f"{circuit.name}: {len(circuit.gates)} gates, "
-        f"unit-delay depth {depth(circuit)}, wrote {out}"
+        f"unit-delay depth {_this.depth(circuit)}, wrote {out}"
     )
     return 0
 
 
 def _load_circuit(path: str) -> Circuit:
+    from .emit import JsonFormatError
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise JsonFormatError(f"cannot read {path}: {exc}") from exc
-    return from_json(text)
+    return _this.from_json(text)
 
 
 class _Operands(NamedTuple):
@@ -128,9 +151,9 @@ def _cmd_verify(args) -> int:
     pa, pb = circuit.inputs
     spec = _Operands(pa.width, pb.width, pa.signedness, pb.signedness)
     if args.random is not None:
-        report = verify_random(circuit, spec, count=args.random, seed=args.seed)
+        report = _this.verify_random(circuit, spec, count=args.random, seed=args.seed)
     else:
-        report = verify_exhaustive(circuit, spec)
+        report = _this.verify_exhaustive(circuit, spec)
     if args.format == "json":
         for block in report.json_blocks():  # written as they are made
             if not _print(block, end=""):
@@ -153,8 +176,10 @@ def _cmd_compare(args) -> int:
         except ValueError:
             raise ValueError(f"invalid leaf in {token!r}") from None
         specs.append((token, _make_spec(name, args.width, leaf, args.combiner)))
-    entries = [(token, generate(spec)) for token, spec in specs]
-    table = compare(entries, DelayModel.by_name(args.model))
+    from .timing import DelayModel
+
+    entries = [(token, _this.generate(spec)) for token, spec in specs]
+    table = _this.compare(entries, DelayModel.by_name(args.model))
     if args.format == "csv":
         _print(table.to_csv(), end="")
     else:

@@ -16,19 +16,21 @@ chunk; packing and unpacking transpose whole chunks at once (bytes, then
 entry point takes a port value once through ``operator.index``, so any
 integer is exact and anything else is refused.  Port values travel as int64
 arrays when the port's range fits in int64 and as object arrays of exact
-Python ints otherwise.  numpy is imported inside the functions that build or read
-those arrays, not at module top, so importing gatemul (as ``gen`` and
-``compare`` do) does not load it.  The exhaustive sweep of a narrow circuit
-needs no numpy at all: its input lanes are counting patterns built from
-repeated bytes.  One reader, :func:`_unpack_lanes`, and one 8x8 bit
-transpose, :func:`_transpose8`, unpack the output lanes of both: a vector
-array's in numpy, the sweep's with Python ints and ``array.array``.
+Python ints otherwise.  numpy is imported inside the functions that build
+or read those arrays, not at module top, so an exhaustive ``verify`` does
+not load it; ``gen`` and ``compare`` do not import this module at all.  The
+exhaustive sweep of a narrow circuit needs no numpy at all: its input lanes
+are counting patterns built from repeated bytes.  One reader,
+:func:`_unpack_lanes`, and one 8x8 bit transpose, :func:`_transpose8`,
+unpack the output lanes of both: a vector array's in numpy, the sweep's
+with Python ints and ``array.array``.
 """
 
 from __future__ import annotations
 
 import operator
 from array import array
+from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .netlist import Circuit, GateKind, Signedness, _require_valid
@@ -242,6 +244,19 @@ def evaluate(circuit: Circuit, inputs: Mapping[str, int]) -> dict[str, int]:
     return out
 
 
+# (shift, mask) of the three swap steps of an 8x8 bit transpose.
+_TRANSPOSE_STEPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
+                    (28, 0x00000000F0F0F0F0))
+
+
+@lru_cache(maxsize=1)
+def _repeated_steps(groups: int) -> tuple[tuple[int, int], ...]:
+    """:data:`_TRANSPOSE_STEPS` with each mask repeated over ``groups`` words
+    of one Python int, built once for the sweep's outputs and bytes."""
+    return tuple((shift, int.from_bytes(mask.to_bytes(8, "little") * groups, "little"))
+                 for shift, mask in _TRANSPOSE_STEPS)
+
+
 def _transpose8(words: np.ndarray | int, groups: int) -> np.ndarray | int:
     """Transpose the 8x8 bit matrix held in each of ``groups`` 64-bit words:
     bit ``8*r + c`` trades places with bit ``8*c + r`` (Warren, *Hacker's
@@ -251,10 +266,8 @@ def _transpose8(words: np.ndarray | int, groups: int) -> np.ndarray | int:
     the words end to end, least significant first, with each mask repeated
     per word; no masked bit moves past its own word.  Returns the words.
     """
-    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
-                        (28, 0x00000000F0F0F0F0)):
-        if isinstance(words, int):
-            mask = int.from_bytes(mask.to_bytes(8, "little") * groups, "little")
+    steps = _repeated_steps(groups) if isinstance(words, int) else _TRANSPOSE_STEPS
+    for shift, mask in steps:
         t = ((words >> shift) ^ words) & mask
         words ^= t
         words ^= t << shift

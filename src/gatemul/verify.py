@@ -10,12 +10,12 @@ at a time, the boundary pairs first and then ``sim._CHUNK`` (65,536) draws
 at a time, and keeps only the failing vectors, so a passing run holds one
 chunk whatever its count.  It multiplies numpy int64 arrays when every
 operand and every product fits in int64 (decided from the port ranges with
-Python ints) and exact Python ints otherwise.  numpy is imported inside the functions that use it, not at
-module top, so importing gatemul (as ``gen`` and ``compare`` do) does not
-load it.  Both entry points first refuse a spec whose operand widths or
-signs differ from the circuit's ports, before any vector is made; every
-other operand fact (ranges, boundary values, draws, the oracle's dtype) is
-the ports'.
+Python ints) and exact Python ints otherwise.  numpy is imported inside
+the functions that use it, not at module top, so an exhaustive ``verify``
+does not load it; ``gen`` and ``compare`` do not import this module at all.
+Both entry points first refuse a spec whose operand widths or signs differ
+from the circuit's ports, before any vector is made; every other operand
+fact (ranges, boundary values, draws, the oracle's dtype) is the ports'.
 
 A report's ``failures`` is a read-only sequence of ``(inputs, expected,
 actual)`` rows in (A, B) order.  The failing vectors stay in four columns,
@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from itertools import chain, compress
 from typing import TYPE_CHECKING
 
-from .multipliers import MultiplierSpec
 from .netlist import Circuit
 from .sim import (
     _CHUNK,
@@ -52,6 +51,8 @@ from .sim import (
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .multipliers import MultiplierSpec
 
 #: PRNG identifier recorded in random reports.
 RANDOM_ALGORITHM = "numpy-pcg64"

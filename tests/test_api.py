@@ -7,7 +7,10 @@ name.  Building blocks are imported from their own modules.
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,7 +62,24 @@ def test_all_is_the_public_list():
 
 def test_every_public_name_resolves():
     for name in gatemul.__all__:
-        assert getattr(gatemul, name) is not None, name
+        home = importlib.import_module(f"gatemul.{gatemul._HOMES[name]}")
+        assert getattr(gatemul, name) is getattr(home, name), name
+    # In a fresh interpreter, where no name has been read yet: dir() lists
+    # every name, and a star import binds all of them.
+    code = (
+        "import gatemul\n"
+        "listed = dir(gatemul)\n"
+        "before = set(globals())\n"
+        "from gatemul import *\n"
+        "print(*listed)\n"
+        "print(*sorted(set(globals()) - before - {'before'}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    listed, bound = proc.stdout.splitlines()
+    assert set(PUBLIC) <= set(listed.split())
+    assert bound.split() == PUBLIC
 
 
 @pytest.mark.parametrize("name, module", sorted(MODULE_ONLY.items()))

@@ -1,3 +1,4 @@
+import ast
 import gc
 import hashlib
 import json
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import gatemul
 from gatemul import cli
 from gatemul.cli import main
 from gatemul.emit import from_json, to_json
@@ -639,34 +641,47 @@ class TestCollectorState:
 
 
 class TestNumpyOffStartup:
-    """gen, compare and exhaustive verify never load numpy; verify --random
-    loads it on first use."""
+    """Each command loads only its own layer modules: gen, compare and
+    exhaustive verify never load numpy, and verify --random loads it on first
+    use."""
 
-    def _numpy_loaded_after(self, body):
+    def _loaded_after(self, body, prelude="import gatemul, gatemul.cli"):
+        """numpy and the gatemul layer modules (bare names) loaded after
+        ``prelude`` and ``body`` run in a fresh interpreter."""
         code = (
             "import sys\n"
-            "import gatemul, gatemul.cli\n"
+            f"{prelude}\n"
             f"{body}\n"
-            "print('numpy' in sys.modules)\n"
+            "print(*sorted(sys.modules))\n"
         )
         proc = _run_python(["-c", code])
         assert proc.returncode == 0, proc.stderr
-        return proc.stdout.splitlines()[-1] == "True"
+        modules = proc.stdout.splitlines()[-1].split()
+        return {m.removeprefix("gatemul.") for m in modules
+                if m == "numpy" or (m.startswith("gatemul.") and m != "gatemul.cli")}
+
+    def _numpy_loaded_after(self, body):
+        return "numpy" in self._loaded_after(body)
 
     def test_import_leaves_numpy_unloaded(self):
         assert not self._numpy_loaded_after("")
 
-    @pytest.mark.parametrize("argv", [
-        ["gen", "--arch", "bw", "--width", "8", "--out", "{dir}/bw8.json"],
-        ["gen", "--arch", "decomposed", "--width", "8", "--out", "{dir}/d8.v"],
-        ["compare", "--width", "8", "--model", "tech-demo", "bw", "booth4",
-         "decomposed:4"],
+    @pytest.mark.parametrize("prelude", ["import gatemul", "import gatemul.cli"])
+    def test_import_loads_no_layer(self, prelude):
+        assert self._loaded_after("", prelude) == set()
+
+    @pytest.mark.parametrize("argv, unloaded", [
+        (["gen", "--arch", "bw", "--width", "8", "--out", "{dir}/bw8.json"],
+         {"verify", "sim"}),
+        (["gen", "--arch", "decomposed", "--width", "8", "--out", "{dir}/d8.v"],
+         {"verify", "sim"}),
+        (["compare", "--width", "8", "--model", "tech-demo", "bw", "booth4",
+          "decomposed:4"], {"emit", "verify", "sim"}),
     ], ids=["gen_json", "gen_verilog", "compare"])
-    def test_gen_and_compare_leave_numpy_unloaded(self, tmp_path, argv):
+    def test_gen_and_compare_leave_numpy_unloaded(self, tmp_path, argv, unloaded):
         argv = [a.format(dir=tmp_path) for a in argv]
-        assert not self._numpy_loaded_after(
-            f"assert gatemul.cli.main({argv!r}) == 0"
-        )
+        loaded = self._loaded_after(f"assert gatemul.cli.main({argv!r}) == 0")
+        assert not loaded & {"numpy", *unloaded}
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_exhaustive_verify_leaves_numpy_unloaded(self, tmp_path, fmt):
@@ -674,17 +689,20 @@ class TestNumpyOffStartup:
         good, bad = tmp_path / "bw8.json", tmp_path / "bw8_mutant.json"
         good.write_text(to_json(c))
         bad.write_text(to_json(flip_gate(c, partial_product_gates(c)[0])))
-        assert not self._numpy_loaded_after(
+        loaded = self._loaded_after(
             f"assert gatemul.cli.main(['verify', {str(good)!r}, '--format', {fmt!r}]) == 0\n"
             f"assert gatemul.cli.main(['verify', {str(bad)!r}, '--format', {fmt!r}]) == 1"
         )
+        assert not loaded & {"numpy", "multipliers", "genlib", "timing"}
 
     def test_random_verify_loads_numpy(self, tmp_path):
         out = tmp_path / "bw4.json"
         out.write_text(to_json(baugh_wooley_multiplier(4)))
-        assert self._numpy_loaded_after(
+        loaded = self._loaded_after(
             f"assert gatemul.cli.main(['verify', {str(out)!r}, '--random', '50']) == 0"
         )
+        assert "numpy" in loaded
+        assert not loaded & {"multipliers", "genlib", "timing"}
 
     @pytest.mark.parametrize("preset", [None, "3"])
     def test_main_sets_one_blas_thread_unless_set(self, tmp_path, preset):
@@ -717,3 +735,51 @@ class TestNumpyOffStartup:
             "assert gatemul.cli.verify_exhaustive is v.verify_exhaustive\n"
             "assert gatemul.verify.VerifyReport is gatemul.VerifyReport"
         )
+
+
+def _traced_op_wrapped():
+    """The keys of ``WRAPPED`` in bench/traced_op.py: the names in gatemul.cli
+    that the benchmark's traced run replaces with span-recording wrappers."""
+    source = (SRC.parent / "bench" / "traced_op.py").read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "WRAPPED":
+            return {ast.literal_eval(key) for key in node.value.keys}
+    raise AssertionError("bench/traced_op.py defines no WRAPPED")
+
+
+class TestTracedOpContract:
+    """bench/traced_op.py sets its wrappers on gatemul.cli; each name must be
+    the layer's function, and a stand-in set there must be what main calls."""
+
+    COMMANDS = {
+        "gen_json": (["gen", "--arch", "bw", "--width", "4", "--out", "{dir}/out.json"],
+                     {"generate", "to_json", "depth"}),
+        "gen_verilog": (["gen", "--arch", "bw", "--width", "4", "--out", "{dir}/out.v"],
+                        {"generate", "to_verilog", "depth"}),
+        "verify": (["verify", "{dir}/bw4.json"], {"from_json", "verify_exhaustive"}),
+        "verify_random": (["verify", "{dir}/bw4.json", "--random", "50"],
+                          {"from_json", "verify_random"}),
+        "compare": (["compare", "--width", "4", "bw", "booth4"], {"generate", "compare"}),
+    }
+
+    def test_wrapped_names_are_the_layer_functions(self):
+        wrapped = _traced_op_wrapped()
+        assert wrapped == set().union(*(called for _, called in self.COMMANDS.values()))
+        for name in wrapped:
+            assert getattr(cli, name) is getattr(gatemul, name), name
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_main_calls_the_stand_in(self, monkeypatch, tmp_path, capsys, command):
+        argv, called = self.COMMANDS[command]
+        (tmp_path / "bw4.json").write_text(to_json(baugh_wooley_multiplier(4)))
+        seen = set()
+        for name in _traced_op_wrapped():
+            real = getattr(cli, name)
+
+            def stand_in(*args, _name=name, _real=real, **kwargs):
+                seen.add(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, stand_in)
+        assert run([a.format(dir=tmp_path) for a in argv]) == 0
+        assert seen == called
