@@ -28,7 +28,7 @@ _HOMES = {
     **dict.fromkeys([
         "Circuit", "CircuitBuilder", "Gate", "GateKind", "NetId",
         "NetlistError", "Port", "Signedness", "ValidationError", "Violation",
-        "ViolationKind", "gate_schedule", "validate",
+        "ViolationKind", "depth", "gate_schedule", "validate",
     ], "netlist"),
     **dict.fromkeys([
         "Architecture", "Combiner", "MultiplierSpec", "baugh_wooley_multiplier",
@@ -37,7 +37,7 @@ _HOMES = {
     **dict.fromkeys(["evaluate", "evaluate_batch", "evaluate_vector_array"], "sim"),
     **dict.fromkeys([
         "AreaReport", "ComparisonTable", "DelayModel", "TimingReport",
-        "area_report", "compare", "critical_path", "depth",
+        "area_report", "compare", "critical_path",
     ], "timing"),
     **dict.fromkeys([
         "VerifyReport", "oracle_product", "verify_exhaustive", "verify_random",

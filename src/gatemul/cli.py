@@ -99,6 +99,9 @@ def _print(text: str, end: str = "\n") -> bool:
     return True
 
 
+_WRITE_SLICE = 1 << 16  # characters of a gen file's text encoded at once
+
+
 def _cmd_gen(args) -> int:
     spec = _make_spec(
         args.arch, args.width, args.leaf, args.combiner, args.sign_a, args.sign_b
@@ -109,8 +112,11 @@ def _cmd_gen(args) -> int:
     circuit = _this.generate(spec)
     text = (_this.to_json(circuit) if out.suffix == ".json"
             else _this.to_verilog(circuit))
+    # Encoded a slice at a time, so no encoded copy of the whole text exists.
     try:
-        out.write_text(text, encoding="utf-8", newline="\n")
+        with out.open("w", encoding="utf-8", newline="\n") as f:
+            for i in range(0, len(text), _WRITE_SLICE):
+                f.write(text[i:i + _WRITE_SLICE])
     except OSError as exc:
         raise ValueError(f"cannot write {out}: {exc}") from exc
     _print(
@@ -178,7 +184,8 @@ def _cmd_compare(args) -> int:
         specs.append((token, _make_spec(name, args.width, leaf, args.combiner)))
     from .timing import DelayModel
 
-    entries = [(token, _this.generate(spec)) for token, spec in specs]
+    # Built as compare asks for them: it keeps one circuit at a time.
+    entries = ((token, _this.generate(spec)) for token, spec in specs)
     table = _this.compare(entries, DelayModel.by_name(args.model))
     if args.format == "csv":
         _print(table.to_csv(), end="")

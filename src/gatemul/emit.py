@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import re
-from operator import itemgetter
+from collections.abc import Callable, Iterator, Sequence
 
 from .netlist import (
     Circuit,
@@ -64,18 +64,39 @@ def _sanitize(name: str, taken: set[str]) -> str:
     return clean
 
 
-_GATE_EXPR = {
-    GateKind.CONST0: lambda ins: "1'b0",
-    GateKind.CONST1: lambda ins: "1'b1",
-    GateKind.NOT: lambda ins: f"~{ins[0]}",
-    GateKind.BUF: lambda ins: ins[0],
-    GateKind.AND2: lambda ins: f"{ins[0]} & {ins[1]}",
-    GateKind.NAND2: lambda ins: f"~({ins[0]} & {ins[1]})",
-    GateKind.OR2: lambda ins: f"{ins[0]} | {ins[1]}",
-    GateKind.NOR2: lambda ins: f"~({ins[0]} | {ins[1]})",
-    GateKind.XOR2: lambda ins: f"{ins[0]} ^ {ins[1]}",
-    GateKind.XNOR2: lambda ins: f"~({ins[0]} ^ {ins[1]})",
+# Per gate kind, its assignment with the output net and the operands to fill
+# in, and the same with every operand a wire ``n<net>``.
+_GATE_VERILOG = {
+    GateKind.CONST0: "  assign n%d = 1'b0;\n",
+    GateKind.CONST1: "  assign n%d = 1'b1;\n",
+    GateKind.NOT: "  assign n%d = ~%s;\n",
+    GateKind.BUF: "  assign n%d = %s;\n",
+    GateKind.AND2: "  assign n%d = %s & %s;\n",
+    GateKind.NAND2: "  assign n%d = ~(%s & %s);\n",
+    GateKind.OR2: "  assign n%d = %s | %s;\n",
+    GateKind.NOR2: "  assign n%d = ~(%s | %s);\n",
+    GateKind.XOR2: "  assign n%d = %s ^ %s;\n",
+    GateKind.XNOR2: "  assign n%d = ~(%s ^ %s);\n",
 }
+
+_GATE_VERILOG_WIRES = {kind: t.replace("%s", "n%d") for kind, t in _GATE_VERILOG.items()}
+
+# Gates per block of text.  An emitter formats one block of gates at a time
+# and joins its lines at once, so the per-gate strings of the whole circuit
+# never exist together: with the blocks and their final join, the text
+# peaks at about twice its length.
+_BLOCK = 4096
+
+
+def _in_blocks(
+    gates: Sequence[Gate], sep: str, lines: Callable[[Sequence[Gate]], list[str]]
+) -> Iterator[str]:
+    """``sep.join`` of ``lines(block)`` for each block of ``_BLOCK`` gates,
+    with ``sep`` between blocks: the pieces of one ``"".join``."""
+    for i in range(0, len(gates), _BLOCK):
+        if i:
+            yield sep
+        yield sep.join(lines(gates[i:i + _BLOCK]))
 
 
 def to_verilog(circuit: Circuit) -> str:
@@ -96,26 +117,32 @@ def to_verilog(circuit: Circuit) -> str:
             refs = [name] if p.width == 1 else [f"{name}[{i}]" for i in range(p.width)]
             ports.append((direction, p, name, refs))
     inputs, outputs = ports[:len(circuit.inputs)], ports[len(circuit.inputs):]
+    # Input-port bits are read by their port reference, every other net as
+    # ``n<net>``, the wire of the gate that drives it.  A gate that reads no
+    # input-port bit, as most do, is written by its all-wire template, with
+    # no lookup per operand.
     ref = {net: r for _, p, _, refs in inputs for net, r in zip(p.bits, refs)}
-    # Gate fields are read by position (g[0] kind, g[1] inputs, g[2]
-    # output): CPython specializes neither a NamedTuple's field reads nor
-    # its unpacking.
-    gates = circuit.gates
-    wires = [f"n{g[2]}" for g in gates]
-    ref.update(zip(map(itemgetter(2), gates), wires))
+    reads_no_port = ref.keys().isdisjoint
 
-    lines = [f"module {module} ({', '.join(name for _, _, name, _ in ports)});"]
+    def name_of(net):
+        return ref[net] if net in ref else f"n{net}"
+
+    templates, wire_templates = _GATE_VERILOG, _GATE_VERILOG_WIRES
+    head = [f"module {module} ({', '.join(name for _, _, name, _ in ports)});\n"]
     for direction, p, name, _ in ports:
         rng = "" if p.width == 1 else f"[{p.width - 1}:0] "
-        lines.append(f"  {direction} {rng}{name};")
-    lines += [f"  wire {w};" for w in wires]
-    for w, g in zip(wires, gates):
-        expr = _GATE_EXPR[g[0]]([ref[i] for i in g[1]])
-        lines.append(f"  assign {w} = {expr};")
-    for _, p, _, refs in outputs:
-        lines += [f"  assign {r} = {ref[net]};" for r, net in zip(refs, p.bits)]
-    lines.append("endmodule")
-    return "\n".join(lines) + "\n"
+        head.append(f"  {direction} {rng}{name};\n")
+    gates = circuit.gates
+    return "".join([
+        *head,
+        *_in_blocks(gates, "", lambda block: [f"  wire n{g[2]};\n" for g in block]),
+        *_in_blocks(gates, "", lambda block: [
+            wire_templates[kind] % (out, *ins) if reads_no_port(ins)
+            else templates[kind] % (out, *map(name_of, ins)) for kind, ins, out in block]),
+        *(f"  assign {r} = {name_of(net)};\n"
+          for _, p, _, refs in outputs for r, net in zip(refs, p.bits)),
+        "endmodule\n",
+    ])
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -133,9 +160,9 @@ def _object_array(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
-_DOC_JSON = (
+_DOC_HEAD_JSON = (
     '{\n  "name": %s,\n  "net_count": %d,\n  "inputs": %s,\n'
-    '  "outputs": %s,\n  "gates": %s\n}\n'
+    '  "outputs": %s,\n  "gates": '
 )
 
 _PORT_JSON = (
@@ -143,11 +170,12 @@ _PORT_JSON = (
     '      "bits": %s\n    }'
 )
 
-# One gate template per input count, which a valid circuit's gate kind fixes.
+# One gate template per kind, its quoted name built in; the input count,
+# which the kind fixes, sets the rest.
 _GATE_JSON = {
-    n: '    {\n      "kind": %s,\n      "inputs": '
-       + _int_array(("%d",) * n, "      ") + ',\n      "output": %d\n    }'
-    for n in {kind.arity for kind in GateKind}
+    kind: '    {\n      "kind": ' + _quote(kind.value) + ',\n      "inputs": '
+          + _int_array(("%d",) * kind.arity, "      ") + ',\n      "output": %d\n    }'
+    for kind in GateKind
 }
 
 
@@ -165,17 +193,21 @@ def to_json(circuit: Circuit) -> str:
     """
     _require_valid(circuit)
     templates = _GATE_JSON
-    gates = [
-        templates[len(ins)] % (_quote(kind.value), *ins, out)
-        for kind, ins, out in circuit.gates
-    ]
-    return _DOC_JSON % (
+    head = _DOC_HEAD_JSON % (
         _quote(circuit.name),
         circuit.net_count,
         _object_array([_port_json(p) for p in circuit.inputs]),
         _object_array([_port_json(p) for p in circuit.outputs]),
-        _object_array(gates),
     )
+    gates = circuit.gates
+    if not gates:
+        return head + "[]\n}\n"
+    return "".join([
+        head, "[\n",
+        *_in_blocks(gates, ",\n", lambda block: [
+            templates[kind] % (*ins, out) for kind, ins, out in block]),
+        "\n  ]\n}\n",
+    ])
 
 
 def _expect(cond: bool, where: str, what: str) -> None:

@@ -15,8 +15,9 @@ the gate schedule come from one structural analysis cached on each
 it).  The builder checks each call and records it at ``finalize``; any
 other circuit (JSON, hand-built) gets the full census on first access,
 which a concurrent first access may compute twice.  The longest-path pass,
-:func:`_arrivals`, checks the gate order here; ``timing`` runs it for
-depth and static timing, with a cost per gate kind.
+:func:`_arrivals`, checks the gate order here and gives :func:`depth` on
+the level table; ``timing`` runs it for static timing, with a delay per
+gate kind.
 """
 
 from __future__ import annotations
@@ -283,6 +284,16 @@ def gate_schedule(circuit: Circuit) -> list[int]:
     algorithm.  Raises :class:`ValidationError` on an invalid circuit.
     """
     return list(_require_valid(circuit).schedule)
+
+
+def _latest_output(circuit: Circuit, arrival: Sequence[int]) -> int:
+    """The latest of ``arrival`` over every output-port bit."""
+    return max(arrival[net] for p in circuit.outputs for net in p.bits)
+
+
+def depth(circuit: Circuit) -> int:
+    """Depth in gate levels (= critical delay under the unit model)."""
+    return _latest_output(circuit, _arrivals(circuit, _require_valid(circuit).schedule, _LEVELS))
 
 
 class CircuitBuilder:

@@ -5,9 +5,12 @@ Bit 0 is always the LSB; a signed port of width n gives its top bit weight
 shortcut.  On its first simulation a circuit is compiled into one program:
 its gates in dependency order, each a step of its gate kind and value
 slots.  A liveness pass hands a net's slot on to a later net once the net's
-last reader has run, so a program holds a few hundred values where the
-circuit has thousands of nets.  The program is cached on the ``Circuit``
-object like its structural analysis, outside the dataclass fields.
+last reader has run, so a program holds fewer values than the circuit
+has nets: 258 slots for bw16's 1,443 nets, 4,098 for bw64's 24,195 and
+65,538 for bw256's 391,683.  They grow as n**2, because every partial
+product is built before the reducer reads any.  The program is cached on
+the ``Circuit`` object like its structural analysis, outside the dataclass
+fields.
 
 Scalar and batch evaluation run the same program.  A batch packs many
 vectors into the bits of one Python integer per value ("lanes"), chunk by

@@ -5,8 +5,9 @@ comparisons behave algebraically: a model whose every gate delay is k times
 another's has exactly k times its critical delay and the same witness path.
 STA runs as one pass over integers: each model scales its delays by their
 common denominator, and results are converted back, so they are still
-exact rationals.  That pass is the netlist's longest-path pass; :func:`depth`
-runs it when asked, with a cost of one level per non-constant gate.  Timing
+exact rationals.  That pass is the netlist's longest-path pass, which
+:func:`depth` (kept in :mod:`gatemul.netlist`, so that ``gen`` need not load
+this module) runs with a cost of one level per non-constant gate.  Timing
 is purely topological -- no input-dependent or false-path analysis -- which
 is what a synthesis report's "path delay" measures.
 """
@@ -20,11 +21,12 @@ from io import StringIO
 from math import lcm
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 import csv
 
 from .netlist import (
-    Circuit, Gate, GateKind, NetId, _LEVELS, _arrivals, _require_valid,
+    Circuit, Gate, GateKind, NetId, _LEVELS, _arrivals, _latest_output,
+    _require_valid, depth,
 )
 
 DelayLike = int | float | str | Fraction
@@ -115,11 +117,6 @@ def arrival_times(circuit: Circuit, model: DelayModel) -> dict[NetId, Fraction]:
     return {net: exact[arrival[net]] for net in nets}
 
 
-def _latest_output(circuit: Circuit, arrival: Sequence[int]) -> int:
-    """The latest of ``arrival`` over every output-port bit."""
-    return max(arrival[net] for p in circuit.outputs for net in p.bits)
-
-
 @dataclass(frozen=True)
 class TimingReport:
     model_name: str
@@ -172,11 +169,6 @@ def area_report(circuit: Circuit) -> AreaReport:
     return AreaReport(counts=dict(counts), total_gates=len(circuit.gates))
 
 
-def depth(circuit: Circuit) -> int:
-    """Depth in gate levels (= critical delay under the unit model)."""
-    return _latest_output(circuit, _arrivals(circuit, _require_valid(circuit).schedule, _LEVELS))
-
-
 def _fmt(x: Fraction) -> str:
     """Exact decimal when x has one (denominator 2^a * 5^b), else 6 digits."""
     for k in range(x.denominator.bit_length()):
@@ -215,23 +207,28 @@ class ComparisonTable:
 
 
 def compare(
-    circuits: Sequence[tuple[str, Circuit]], model: DelayModel
+    circuits: Iterable[tuple[str, Circuit]], model: DelayModel
 ) -> ComparisonTable:
     """Side-by-side delay/area table.
 
-    The delay-ratio row divides the first entry's critical delay by each
-    column's, so values above 1 mean "faster than the baseline".
+    ``circuits`` is read once, in order.  Of each circuit only its critical
+    delay, depth and area are kept, and the circuit is let go before the
+    next entry is asked for, so a generator of circuits is held one circuit
+    at a time.  The delay-ratio row divides the first entry's critical delay
+    by each column's, so values above 1 mean "faster than the baseline".
     """
-    if len(circuits) < 2:
-        raise ValueError("compare needs at least two circuits")
-    labels = tuple(label for label, _ in circuits)
+    labels: list[str] = []
     delays: list[Fraction] = []
     depths: list[int] = []
     areas: list[AreaReport] = []
-    for _, c in circuits:
+    for label, c in circuits:
+        labels.append(label)
         delays.append(critical_path(c, model).critical_delay)
         depths.append(depth(c))
         areas.append(area_report(c))
+        del c  # else the loop holds it while the next entry is made
+    if len(labels) < 2:
+        raise ValueError("compare needs at least two circuits")
 
     kinds = [k for k in GateKind if any(a.counts.get(k) for a in areas)]
     rows: list[tuple[str, tuple[str, ...]]] = [
@@ -248,4 +245,4 @@ def compare(
         _fmt(base / d) if d != 0 else ("1" if base == 0 else "inf") for d in delays
     )
     rows.append((f"delay ratio vs {labels[0]}", ratios))
-    return ComparisonTable(model.name, labels, tuple(rows))
+    return ComparisonTable(model.name, tuple(labels), tuple(rows))

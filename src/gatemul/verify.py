@@ -21,11 +21,11 @@ A report's ``failures`` is a read-only sequence of ``(inputs, expected,
 actual)`` rows in (A, B) order.  The failing vectors stay in four columns,
 lists of Python ints after an exhaustive run, which finds them in that
 order, and numpy arrays of the narrowest integer dtype that holds each
-column after a random run, which sorts them once at its end with one
-``np.lexsort``.  A row's tuple is built only when the row is read: a FAIL
-report that prints 20 witnesses builds 20 tuples, however many vectors
-failed.  The JSON report is written from the columns, a block of rows at
-a time.
+column after a random run, which sorts them once at its end with
+:func:`_pair_order`.  A row's tuple is built only when the row is read: a
+FAIL report that prints 20 witnesses builds 20 tuples, however many
+vectors failed.  The JSON report is written from the columns, a block of
+rows at a time.
 """
 
 from __future__ import annotations
@@ -310,6 +310,25 @@ def _draw(rng: np.random.Generator, width: int, signedness, count: int) -> np.nd
     return _ints_from_limbs(words) + lo
 
 
+def _pair_order(a, b, lo_a: int, lo_b: int, width_a: int, width_b: int):
+    """Indices that sort the pairs ``(a[i], b[i])`` by A, then B, ties kept
+    in index order, as ``np.lexsort((b, a))`` gives them.
+
+    numpy radix-sorts only keys of 16 bits or less.  Wider operands whose
+    widths sum to at most 64 are sorted as one packed key,
+    ``(a - lo_a) << width_b | (b - lo_b)``, in about half the time of a
+    lexsort of the two columns.
+    """
+    import numpy as np
+
+    if max(a.itemsize, b.itemsize) <= 2 or width_a + width_b > 64:
+        return np.lexsort((b, a))
+    key = np.subtract(a, lo_a, dtype=np.int64).view(np.uint64)
+    key <<= np.uint64(width_b)
+    key |= np.subtract(b, lo_b, dtype=np.int64).view(np.uint64)
+    return np.argsort(key, kind="stable")
+
+
 def verify_random(
     circuit: Circuit, spec: MultiplierSpec, count: int, seed: int
 ) -> VerifyReport:
@@ -323,7 +342,7 @@ def verify_random(
     The vectors are simulated, multiplied and compared a chunk at a time:
     the boundary pairs are the first chunk, then the draws ``_CHUNK`` at a
     time.  Only the failing ones are kept, each column in its narrowest
-    dtype; at the end one ``np.lexsort`` puts them in (A, B) order.  A
+    dtype; at the end one sort puts them in (A, B) order.  A
     second generator from the same seed draws A's values once, only to
     reach the state that B's draws start from.  The bit generator keeps the
     unused half of a 64-bit word between calls, so draws made chunk by
@@ -378,7 +397,7 @@ def verify_random(
     del stores
     # Into (A, B) order.  Each unsorted column, and with it its store, is
     # freed as its sorted copy replaces it: never two copies of every column.
-    order = np.lexsort((columns[1], columns[0]))
+    order = _pair_order(columns[0], columns[1], ra[0], rb[0], pa.width, pb.width)
     for i in range(len(columns)):
         columns[i] = columns[i][order]
     boundary = len(corner_a) * len(corner_b)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -428,6 +429,21 @@ class TestCompare:
         csv_cells = [line.split(",") for line in csv_text.splitlines()]
         assert md_cells == csv_cells
 
+    def test_holds_one_circuit_at_a_time(self, monkeypatch, capsys):
+        # Each circuit is built once the previous one is dropped, whatever
+        # the token count.
+        real, built = cli.generate, []
+
+        def generate(spec):
+            assert not built or built[-1]() is None
+            c = real(spec)
+            built.append(weakref.ref(c))
+            return c
+
+        monkeypatch.setattr(cli, "generate", generate)
+        assert run(["compare", "--width", "8", "bw", "booth4", "decomposed:4", "bw"]) == 0
+        assert len(built) == 4
+
     def test_single_arch_rejected(self, capsys):
         assert run(["compare", "--width", "8", "bw"]) == 2
 
@@ -672,9 +688,9 @@ class TestNumpyOffStartup:
 
     @pytest.mark.parametrize("argv, unloaded", [
         (["gen", "--arch", "bw", "--width", "8", "--out", "{dir}/bw8.json"],
-         {"verify", "sim"}),
+         {"verify", "sim", "timing"}),
         (["gen", "--arch", "decomposed", "--width", "8", "--out", "{dir}/d8.v"],
-         {"verify", "sim"}),
+         {"verify", "sim", "timing"}),
         (["compare", "--width", "8", "--model", "tech-demo", "bw", "booth4",
           "decomposed:4"], {"emit", "verify", "sim"}),
     ], ids=["gen_json", "gen_verilog", "compare"])

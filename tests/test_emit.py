@@ -3,13 +3,14 @@ import itertools
 import json
 import shutil
 import subprocess
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gatemul.emit import JsonFormatError, from_json, to_json, to_verilog
+from gatemul.emit import _BLOCK, JsonFormatError, _sanitize, from_json, to_json, to_verilog
 from gatemul.genlib import full_adder
 from gatemul.multipliers import (
     Architecture,
@@ -386,6 +387,85 @@ class TestJsonErrors:
         doc["outputs"][0]["bits"][0] = doc["net_count"] + 5
         with pytest.raises(JsonFormatError):
             from_json(json.dumps(doc))
+
+
+_EXPR = {
+    GateKind.CONST0: "1'b0", GateKind.CONST1: "1'b1", GateKind.NOT: "~{}",
+    GateKind.BUF: "{}", GateKind.AND2: "{} & {}", GateKind.NAND2: "~({} & {})",
+    GateKind.OR2: "{} | {}", GateKind.NOR2: "~({} | {})",
+    GateKind.XOR2: "{} ^ {}", GateKind.XNOR2: "~({} ^ {})",
+}
+
+
+def _line_by_line_verilog(c):
+    """The Verilog a writer gives that holds a name for every net and a
+    line for every gate."""
+    taken = set()
+    module = _sanitize(c.name, set())
+    ports = []
+    for direction, group in (("input", c.inputs), ("output", c.outputs)):
+        for p in group:
+            name = _sanitize(p.name, taken)
+            refs = [name] if p.width == 1 else [f"{name}[{i}]" for i in range(p.width)]
+            ports.append((direction, p, name, refs))
+    ref = {net: r for direction, p, _, refs in ports if direction == "input"
+           for net, r in zip(p.bits, refs)}
+    ref.update((g.output, f"n{g.output}") for g in c.gates)
+    lines = [f"module {module} ({', '.join(name for _, _, name, _ in ports)});"]
+    for direction, p, name, _ in ports:
+        rng = "" if p.width == 1 else f"[{p.width - 1}:0] "
+        lines.append(f"  {direction} {rng}{name};")
+    lines += [f"  wire n{g.output};" for g in c.gates]
+    lines += [f"  assign n{g.output} = {_EXPR[g.kind].format(*(ref[i] for i in g.inputs))};"
+              for g in c.gates]
+    lines += [f"  assign {r} = {ref[net]};"
+              for direction, p, _, refs in ports if direction == "output"
+              for r, net in zip(refs, p.bits)]
+    return "\n".join([*lines, "endmodule"]) + "\n"
+
+
+def _chain(n):
+    """``n`` gates, every kind in turn, each reading the gate before it and,
+    one in three, an input-port bit, so every block has gates of both."""
+    kinds = list(GateKind)
+    gates = []
+    for j in range(n):
+        kind = kinds[j % len(kinds)]
+        ins = (3 + j, j % 4 if j % 3 == 0 else 2 + j)[:kind.arity]
+        gates.append(Gate(kind, ins, 4 + j))
+    return Circuit("chain", (Port("a", (0, 1), S), Port("b", (2, 3), U)),
+                   (Port("p", (3 + n, 1, 2 + n), S),), tuple(gates), 4 + n)
+
+
+class TestBlockedText:
+    """The emitters format a block of gates at a time and join the text
+    once; it is the text a line-by-line writer gives."""
+
+    @pytest.mark.parametrize("c", [
+        Circuit("m", (Port("A", (0,), U),), (Port("P", (0,), U),), (), 1),
+        TestVerilogReadBack.ODD,
+        _chain(_BLOCK),
+        _chain(_BLOCK + 1),
+        baugh_wooley_multiplier(8),
+    ], ids=["no-gates", "1-bit-ports", "one-block", "past-one-block", "bw8"])
+    def test_same_text_as_line_by_line(self, c):
+        assert not validate(c)
+        assert to_json(c) == _document(c)
+        assert to_verilog(c) == _line_by_line_verilog(c)
+
+    @pytest.mark.parametrize("emit, width", [(to_json, 32), (to_verilog, 64)])
+    def test_peak_is_about_twice_the_text(self, emit, width):
+        # The blocks and their join; no list of every gate's string.  A
+        # block's strings are about three times its Verilog text, so the
+        # Verilog bound is taken where there are several blocks.
+        c = baugh_wooley_multiplier(width)
+        tracemalloc.start()
+        try:
+            text = emit(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * len(text)
 
 
 @pytest.mark.parametrize("c, valid", [

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -346,9 +347,28 @@ class TestCompare:
             "delay ratio vs bw",
         ]
 
-    def test_needs_two_circuits(self):
-        with pytest.raises(ValueError):
-            compare([("x", baugh_wooley_multiplier(4))], UNIT)
+    @pytest.mark.parametrize("wrap", [list, iter], ids=["list", "iterator"])
+    def test_needs_two_circuits(self, wrap):
+        with pytest.raises(ValueError, match="^compare needs at least two circuits$"):
+            compare(wrap([("x", baugh_wooley_multiplier(4))]), UNIT)
+
+    def test_generator_is_held_one_circuit_at_a_time(self):
+        # Each circuit is dropped before the next is asked for: a weak
+        # reference to the previous one is dead when the next is built.
+        widths = (4, 5, 6)
+        built = []
+
+        def entries():
+            for w in widths:
+                assert not built or built[-1]() is None
+                c = baugh_wooley_multiplier(w)
+                built.append(weakref.ref(c))
+                yield f"bw{w}", c
+                del c
+
+        table = compare(entries(), UNIT)
+        assert len(built) == len(widths)
+        assert table == compare([(f"bw{w}", baugh_wooley_multiplier(w)) for w in widths], UNIT)
 
     def test_ratio_above_one_when_baseline_slower(self):
         from gatemul.multipliers import booth_radix4_multiplier

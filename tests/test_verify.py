@@ -24,6 +24,7 @@ from gatemul.verify import (
     VerifyReport,
     _draw,
     _Failures,
+    _pair_order,
     boundary_values,
     oracle_product,
     verify_exhaustive,
@@ -605,6 +606,25 @@ class TestRowOrder:
     def test_single_rows(self, run, i):
         failures, rows = run
         assert failures[i] == rows[i]
+
+
+@pytest.mark.parametrize("sign_a, sign_b", [(S, S), (U, U), (S, U)])
+def test_pair_order_is_lexsort_order(sign_a, sign_b):
+    # 32-bit operand columns, int32 when signed and int64 when not, with
+    # repeated pairs and repeated A values: the packed key gives
+    # np.lexsort's order, ties in index order.
+    rng = np.random.default_rng(3)
+    columns = []
+    for sign in (sign_a, sign_b):
+        lo, hi = value_range(32, sign)
+        column = rng.integers(lo, hi, 30_000, endpoint=True)
+        column[::7], column[1::11] = lo, hi
+        columns.append(column.astype(np.min_scalar_type(min(lo, -hi - 1))))
+    a, b = columns
+    a[::3], b[::3] = a[1], b[1]
+    a[2::5] = a[4]
+    order = _pair_order(a, b, value_range(32, sign_a)[0], value_range(32, sign_b)[0], 32, 32)
+    assert np.array_equal(order, np.lexsort((b, a)))
 
 
 class TestStreamedMemory:
