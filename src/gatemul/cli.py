@@ -6,6 +6,9 @@ and :func:`main` is the one place that maps a refusal to exit 2.  A reader
 that closes stdout early (as ``| head`` does) changes neither: the rest of
 the output is dropped.  A stdout that cannot be written otherwise (a full
 disk) is a refusal: exit 2 with one ``error: cannot write stdout`` line.
+A process run as ``gatemul`` or ``python -m gatemul.cli`` leaves through
+:func:`run_and_exit`, which skips interpreter teardown; :func:`main` only
+returns the exit code, so the API and the tests call it in-process.
 """
 
 from __future__ import annotations
@@ -282,5 +285,20 @@ def main(argv: list[str] | None = None) -> int:
             gc.enable()
 
 
+def run_and_exit() -> None:
+    """The program's entry point, as ``gatemul`` and ``python -m gatemul.cli``:
+    :func:`main` on ``sys.argv``, then stdout and stderr flushed and the
+    process ended with ``os._exit``.
+
+    Interpreter teardown would free every gate, string and array a command
+    made, one object at a time, and has nothing else to do: a command
+    closes each file it writes.  ``--help`` and argparse's usage errors
+    still leave through ``SystemExit``."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run_and_exit()

@@ -12,6 +12,9 @@ Bit arrays are LSB-first net indices.  :func:`to_json` writes exactly what
 above, plus a final LF; the layout is byte-stable.  Loading validates
 structure and the netlist invariants; a round trip reproduces the circuit
 exactly.
+
+Both emitters grow their text as one string, appended a block of gates at
+a time (``_BLOCK``), so emitting holds the circuit, the text and one block.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Callable, Iterator, Sequence
+from itertools import chain
 
 from .netlist import (
     Circuit,
@@ -82,17 +86,17 @@ _GATE_VERILOG = {
 _GATE_VERILOG_WIRES = {kind: t.replace("%s", "n%d") for kind, t in _GATE_VERILOG.items()}
 
 # Gates per block of text.  An emitter formats one block of gates at a time
-# and joins its lines at once, so the per-gate strings of the whole circuit
-# never exist together: with the blocks and their final join, the text
-# peaks at about twice its length.
-_BLOCK = 4096
+# and appends its text to the document at once, so the per-gate strings of
+# the whole circuit never exist together: the text peaks at its length
+# plus one block.
+_BLOCK = 1024
 
 
 def _in_blocks(
     gates: Sequence[Gate], sep: str, lines: Callable[[Sequence[Gate]], list[str]]
 ) -> Iterator[str]:
     """``sep.join`` of ``lines(block)`` for each block of ``_BLOCK`` gates,
-    with ``sep`` between blocks: the pieces of one ``"".join``."""
+    with ``sep`` between blocks: the pieces of one text, made one at a time."""
     for i in range(0, len(gates), _BLOCK):
         if i:
             yield sep
@@ -128,21 +132,26 @@ def to_verilog(circuit: Circuit) -> str:
         return ref[net] if net in ref else f"n{net}"
 
     templates, wire_templates = _GATE_VERILOG, _GATE_VERILOG_WIRES
-    head = [f"module {module} ({', '.join(name for _, _, name, _ in ports)});\n"]
+    text = f"module {module} ({', '.join(name for _, _, name, _ in ports)});\n"
     for direction, p, name, _ in ports:
         rng = "" if p.width == 1 else f"[{p.width - 1}:0] "
-        head.append(f"  {direction} {rng}{name};\n")
+        text += f"  {direction} {rng}{name};\n"
     gates = circuit.gates
-    return "".join([
-        *head,
-        *_in_blocks(gates, "", lambda block: [f"  wire n{g[2]};\n" for g in block]),
-        *_in_blocks(gates, "", lambda block: [
+    # CPython grows a str in place on ``+=`` only while nothing else refers
+    # to it, so ``text`` stays a plain local of this function and each block
+    # is appended and freed: the text and one block, never a list of blocks
+    # and their join (or an ``io.StringIO`` and its ``getvalue``).
+    for piece in chain(
+        _in_blocks(gates, "", lambda block: [f"  wire n{g[2]};\n" for g in block]),
+        _in_blocks(gates, "", lambda block: [
             wire_templates[kind] % (out, *ins) if reads_no_port(ins)
             else templates[kind] % (out, *map(name_of, ins)) for kind, ins, out in block]),
-        *(f"  assign {r} = {name_of(net)};\n"
-          for _, p, _, refs in outputs for r, net in zip(refs, p.bits)),
-        "endmodule\n",
-    ])
+        (f"  assign {r} = {name_of(net)};\n"
+         for _, p, _, refs in outputs for r, net in zip(refs, p.bits)),
+    ):
+        text += piece
+    text += "endmodule\n"
+    return text
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -193,7 +202,7 @@ def to_json(circuit: Circuit) -> str:
     """
     _require_valid(circuit)
     templates = _GATE_JSON
-    head = _DOC_HEAD_JSON % (
+    text = _DOC_HEAD_JSON % (
         _quote(circuit.name),
         circuit.net_count,
         _object_array([_port_json(p) for p in circuit.inputs]),
@@ -201,13 +210,14 @@ def to_json(circuit: Circuit) -> str:
     )
     gates = circuit.gates
     if not gates:
-        return head + "[]\n}\n"
-    return "".join([
-        head, "[\n",
-        *_in_blocks(gates, ",\n", lambda block: [
-            templates[kind] % (*ins, out) for kind, ins, out in block]),
-        "\n  ]\n}\n",
-    ])
+        return text + "[]\n}\n"
+    text += "[\n"
+    # Appended a block at a time to a local, as in :func:`to_verilog`.
+    for piece in _in_blocks(gates, ",\n", lambda block: [
+            templates[kind] % (*ins, out) for kind, ins, out in block]):
+        text += piece
+    text += "\n  ]\n}\n"
+    return text
 
 
 def _expect(cond: bool, where: str, what: str) -> None:

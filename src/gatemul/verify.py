@@ -22,7 +22,7 @@ actual)`` rows in (A, B) order.  The failing vectors stay in four columns,
 lists of Python ints after an exhaustive run, which finds them in that
 order, and numpy arrays of the narrowest integer dtype that holds each
 column after a random run, which sorts them once at its end with
-:func:`_pair_order`.  A row's tuple is built only when the row is read: a
+:func:`_sort_rows`.  A row's tuple is built only when the row is read: a
 FAIL report that prints 20 witnesses builds 20 tuples, however many
 vectors failed.  The JSON report is written from the columns, a block of
 rows at a time.
@@ -310,23 +310,60 @@ def _draw(rng: np.random.Generator, width: int, signedness, count: int) -> np.nd
     return _ints_from_limbs(words) + lo
 
 
-def _pair_order(a, b, lo_a: int, lo_b: int, width_a: int, width_b: int):
-    """Indices that sort the pairs ``(a[i], b[i])`` by A, then B, ties kept
-    in index order, as ``np.lexsort((b, a))`` gives them.
+def _sort_rows(columns: list, lo_a: int, lo_b: int, width_a: int, width_b: int) -> None:
+    """Put the rows of ``columns``, A and B first, in (A, B) order in place,
+    ties kept in index order, as ``np.lexsort((b, a))`` orders them.  Each
+    unsorted column is freed as its sorted copy replaces it: never two
+    copies of every column.
 
     numpy radix-sorts only keys of 16 bits or less.  Wider operands whose
     widths sum to at most 64 are sorted as one packed key,
     ``(a - lo_a) << width_b | (b - lo_b)``, in about half the time of a
-    lexsort of the two columns.
+    lexsort of the two columns.  A and B are dropped once the key is built
+    and rebuilt, in their dtypes, from the sorted key, so neither lives
+    next to the key, the order and the sort's buffer.
     """
     import numpy as np
 
+    a, b = columns[:2]
     if max(a.itemsize, b.itemsize) <= 2 or width_a + width_b > 64:
-        return np.lexsort((b, a))
+        order = np.lexsort((b, a))
+        del a, b
+        for i in range(len(columns)):
+            columns[i] = columns[i][order]
+        return
+    dtype_a, dtype_b = a.dtype, b.dtype
+    columns[:2] = None, None
     key = np.subtract(a, lo_a, dtype=np.int64).view(np.uint64)
+    del a
     key <<= np.uint64(width_b)
     key |= np.subtract(b, lo_b, dtype=np.int64).view(np.uint64)
-    return np.argsort(key, kind="stable")
+    del b
+    order = np.argsort(key, kind="stable")
+    for i in range(2, len(columns)):
+        columns[i] = columns[i][order]
+    del order
+    # Equal keys are equal (A, B) pairs, so an in-place sort, which needs
+    # no copy, gives the sorted key.
+    key.sort()
+    a = (key >> np.uint64(width_b)).view(np.int64)
+    a += lo_a
+    columns[0] = a.astype(dtype_a, copy=False)
+    del a
+    b = key.view(np.int64)
+    b &= (1 << width_b) - 1
+    b += lo_b
+    columns[1] = b.astype(dtype_b, copy=False)
+
+
+def _pair_order(a, b, lo_a: int, lo_b: int, width_a: int, width_b: int):
+    """Indices that sort the pairs ``(a[i], b[i])`` by A, then B, ties kept
+    in index order: the order :func:`_sort_rows` puts rows in."""
+    import numpy as np
+
+    rows = [a, b, np.arange(len(a))]
+    _sort_rows(rows, lo_a, lo_b, width_a, width_b)
+    return rows[2]
 
 
 def verify_random(
@@ -394,12 +431,9 @@ def verify_random(
                 store.frombytes(column[bad].astype(dtype).tobytes())
     columns = [np.concatenate(store) if dtype == object else np.frombuffer(store, dtype)
                for store, dtype in zip(stores, dtypes)]
-    del stores
-    # Into (A, B) order.  Each unsorted column, and with it its store, is
-    # freed as its sorted copy replaces it: never two copies of every column.
-    order = _pair_order(columns[0], columns[1], ra[0], rb[0], pa.width, pb.width)
-    for i in range(len(columns)):
-        columns[i] = columns[i][order]
+    del stores, store  # the last column's store too, which the loop above keeps
+    # Into (A, B) order; each column frees its store as it is replaced.
+    _sort_rows(columns, ra[0], rb[0], pa.width, pb.width)
     boundary = len(corner_a) * len(corner_b)
     return VerifyReport(
         mode="random",

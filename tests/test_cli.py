@@ -395,6 +395,35 @@ def test_full_stdout_is_a_refusal(tmp_path, unbuffered):
         ), args
 
 
+def test_process_leaves_every_output_complete(tmp_path):
+    # A command's process ends with os._exit, past interpreter teardown:
+    # what it wrote to a regular file is all there, and its exit code holds.
+    c = baugh_wooley_multiplier(16)
+    mutant = flip_gate(c, partial_product_gates(c)[0])
+    bad = tmp_path / "bw16_mutant.json"
+    bad.write_text(to_json(mutant))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+
+    def to_file(args):
+        out = tmp_path / "stdout.txt"
+        with open(out, "w") as f:
+            proc = subprocess.run([sys.executable, "-m", "gatemul.cli", *args],
+                                  stdout=f, stderr=subprocess.PIPE, env=env, timeout=120)
+        return proc.returncode, proc.stderr, out.read_text()
+
+    code, err, report = to_file(["verify", str(bad), "--random", "20000", "--format", "json"])
+    spec = cli._Operands(16, 16, Signedness.SIGNED, Signedness.SIGNED)
+    assert (code, err) == (1, b"")
+    assert json.loads(report)["passed"] is False
+    assert report == verify_random(mutant, spec, count=20000, seed=0).to_json()
+    netlist = tmp_path / "bw16.json"
+    code, err, printed = to_file(["gen", "--arch", "bw", "--width", "16", "--out", str(netlist)])
+    assert (code, err) == (0, b"") and printed.endswith(f"wrote {netlist}\n")
+    assert netlist.read_text() == to_json(c)
+    assert to_file(["gen", "--arch", "bw", "--width", "257", "--out", str(netlist)]) == (
+        2, b"error: widths must be <= 256\n", "")
+
+
 class TestCompare:
     def test_three_way_table(self, capsys):
         code = run(["compare", "--width", "8", "--model", "unit",

@@ -25,6 +25,7 @@ from gatemul.verify import (
     _draw,
     _Failures,
     _pair_order,
+    _sort_rows,
     boundary_values,
     oracle_product,
     verify_exhaustive,
@@ -625,6 +626,29 @@ def test_pair_order_is_lexsort_order(sign_a, sign_b):
     a[2::5] = a[4]
     order = _pair_order(a, b, value_range(32, sign_a)[0], value_range(32, sign_b)[0], 32, 32)
     assert np.array_equal(order, np.lexsort((b, a)))
+
+
+@pytest.mark.parametrize("width_a, width_b", [(32, 32), (20, 44), (16, 8)])
+@pytest.mark.parametrize("sign_a, sign_b", [(S, S), (U, U), (U, S)])
+def test_sort_rows_is_lexsort_gather(width_a, width_b, sign_a, sign_b):
+    # Every column comes back as np.lexsort's order gathers it, in its own
+    # dtype: A and B rebuilt from the packed key, each range's ends
+    # included; signed 16x8 columns take the lexsort branch.
+    rng = np.random.default_rng(5)
+    (lo_a, hi_a), (lo_b, hi_b) = value_range(width_a, sign_a), value_range(width_b, sign_b)
+    a, b = (rng.integers(lo, hi, 20_000, endpoint=True).astype(
+                np.min_scalar_type(min(lo, -hi - 1)))
+            for lo, hi in ((lo_a, hi_a), (lo_b, hi_b)))
+    a[::9], a[1::13], b[::5], b[2::7] = lo_a, hi_a, lo_b, hi_b
+    a[3::4], b[3::4] = a[0], b[0]
+    rest = [rng.integers(-9, 9, len(a)), rng.integers(0, 1 << 40, len(a))]
+    order = np.lexsort((b, a))
+    want = [column[order] for column in (a, b, *rest)]
+    columns = [a, b, *rest]
+    _sort_rows(columns, lo_a, lo_b, width_a, width_b)
+    for got, column in zip(columns, want):
+        assert got.dtype == column.dtype
+        assert np.array_equal(got, column)
 
 
 class TestStreamedMemory:
