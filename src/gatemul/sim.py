@@ -3,13 +3,14 @@
 Bit 0 is always the LSB; a signed port of width n gives its top bit weight
 -2**(n-1).  The simulator runs the netlist itself, not any word-level
 shortcut.  On its first simulation a circuit is compiled into one program:
-its gates in dependency order, each a step of its gate kind and value
-slots.  A liveness pass hands a net's slot on to a later net once the net's
-last reader has run, so a program holds fewer values than the circuit
-has nets: 258 slots for bw16's 1,443 nets, 4,098 for bw64's 24,195 and
-65,538 for bw256's 391,683.  They grow as n**2, because every partial
-product is built before the reducer reads any.  The program is cached on
-the ``Circuit`` object like its structural analysis, outside the dataclass
+the gates its outputs depend on, depth first from the output bits so that
+each runs right after the gates it reads, each a step of its gate kind and
+value slots.  A liveness pass hands a net's slot on to a later net once the
+net's last reader has run, so a program holds few values: 104 slots for
+bw16's 1,443 nets, 440 for bw64's 24,195 and 1,784 for bw256's 391,683.
+In gate order, which builds every partial product before the reducer reads
+any, they would be 258, 4,098 and 65,538.  The program is cached on the
+``Circuit`` object like its structural analysis, outside the dataclass
 fields.
 
 Scalar and batch evaluation run the same program.  A batch packs many
@@ -19,11 +20,13 @@ chunk; packing and unpacking transpose whole chunks at once (bytes, then
 entry point takes a port value once through ``operator.index``, so any
 integer is exact and anything else is refused.  Port values travel as int64
 arrays when the port's range fits in int64 and as object arrays of exact
-Python ints otherwise.  numpy is imported inside the functions that build
-or read those arrays, not at module top, so an exhaustive ``verify`` does
-not load it; ``gen`` and ``compare`` do not import this module at all.  The
-exhaustive sweep of a narrow circuit needs no numpy at all: its input lanes
-are counting patterns built from repeated bytes.  One reader,
+Python ints otherwise; within one lane batch, which ``verify_random``
+runs directly, they keep the dtype they are given or read in.  numpy is
+imported inside the functions that build or read those arrays, not at
+module top, so an exhaustive ``verify`` does not load it; ``gen`` and
+``compare`` do not import this module at all.  The exhaustive sweep of a
+narrow circuit needs no numpy at all: its input lanes are counting
+patterns built from repeated bytes.  One reader,
 :func:`_unpack_lanes`, and one 8x8 bit transpose, :func:`_transpose8`,
 unpack the output lanes of both: a vector array's in numpy, the sweep's
 with Python ints and ``array.array``.
@@ -34,9 +37,10 @@ from __future__ import annotations
 import operator
 from array import array
 from functools import lru_cache
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
-from .netlist import Circuit, GateKind, Signedness, _require_valid
+from .netlist import Circuit, Gate, GateKind, Signedness, _require_valid
 
 if TYPE_CHECKING:
     import numpy as np
@@ -103,7 +107,7 @@ _CONST1, _CONST0 = GateKind.CONST1, GateKind.CONST0
 class _Program(NamedTuple):
     """A circuit compiled for simulation; built by :func:`_compile`.
 
-    Step ``(kind, out, in0, in1)`` runs one gate of the schedule: it writes
+    Step ``(kind, out, in0, in1)`` runs one gate: it writes
     slot ``out`` from slots ``in0`` and ``in1`` (both 0 for a constant, equal
     for a one-input gate).  The input-port bits, ports in order and LSB
     first, start in slots 0, 1, ...; ``out_slots`` lists the slot of each
@@ -115,17 +119,54 @@ class _Program(NamedTuple):
     slot_count: int
 
 
+def _step_order(circuit: Circuit) -> list[Gate]:
+    """The gates the outputs read, in depth-first order from the output
+    bits: each gate comes right after the gates it reads, in input order.
+
+    A value is then read soon after it is made, so few are live at once, as
+    in Sethi and Ullman's order for expression trees ("The Generation of
+    Optimal Code for Arithmetic Expressions", JACM 1970), which would also
+    pick the input to visit first; in gate order every partial product of a
+    multiplier is built before the reducer reads any.  Gates that no output
+    reads are left out.  The walk keeps its own stack, as a circuit can be
+    thousands of levels deep.  The circuit must be valid.
+    """
+    driver: list[Gate | None] = [None] * circuit.net_count
+    for g in circuit.gates:
+        driver[g.output] = g
+    seen = bytearray(circuit.net_count)
+    order = []
+    for root in (net for p in circuit.outputs for net in p.bits):
+        g = driver[root]
+        if g is None or seen[root]:
+            continue
+        seen[root] = 1
+        stack = [(g, iter(g.inputs))]
+        while stack:
+            g, ins = stack[-1]
+            for net in ins:
+                d = driver[net]
+                if d is not None and not seen[net]:
+                    seen[net] = 1
+                    stack.append((d, iter(d.inputs)))
+                    break
+            else:
+                stack.pop()
+                order.append(g)
+    return order
+
+
 def _compile(circuit: Circuit) -> _Program:
-    """Order the gates, give each net a slot, and reuse a slot once the net
-    it holds is dead.
+    """Order the gates by :func:`_step_order`, give each net a slot, and
+    reuse a slot once the net it holds is dead.
 
     Input-port bits get distinct slots.  A gate's output takes a free slot
     after the slots of the inputs it reads for the last time are freed, so it
-    may overwrite one of them.  Output-port nets are never freed; a net that
-    nothing reads frees its slot right after it is written.  Raises
+    may overwrite one of them.  Output-port nets are never freed.  Raises
     :class:`ValidationError` on an invalid circuit.
     """
-    order = [circuit.gates[gi] for gi in _require_valid(circuit).schedule]
+    _require_valid(circuit)
+    order = _step_order(circuit)
     # Step of each net's last read: -1 if never read, len(order) if an output.
     last = [-1] * circuit.net_count
     for t, g in enumerate(order):
@@ -155,8 +196,6 @@ def _compile(circuit: Circuit) -> _Program:
             count += 1
         slot[out] = s
         steps.append((kind, s, a, b))
-        if last[out] < 0:
-            free.append(s)
     out_slots = [slot[net] for p in circuit.outputs for net in p.bits]
     return _Program(steps, out_slots, count)
 
@@ -174,7 +213,7 @@ def _program(circuit: Circuit) -> _Program:
     return program
 
 
-def _evaluate_lanes(program: _Program, in_lanes: Sequence[int], mask: int) -> list[int]:
+def _evaluate_lanes(program: _Program, in_lanes: Iterable[int], mask: int) -> list[int]:
     """Run ``program`` on one lane integer per input-port bit; returns one
     per output-port bit.  ``mask`` is the all-ones mask of the active lanes;
     with ``mask == 1`` these are plain single-bit ops."""
@@ -280,11 +319,14 @@ def _transpose8(words: np.ndarray | int, groups: int) -> np.ndarray | int:
 def _pack_port(values: np.ndarray, width: int) -> list[int]:
     """One lane integer per bit position; lane bit k = vector k's bit.
 
-    Values are split into 64-bit two's-complement limbs: an int64 array is
-    its own single limb, an object array of Python ints is cut into as many
-    limbs as the width needs.  Byte q of every vector makes up plane q, so
-    each 8-byte word of a plane holds byte q of eight vectors; one 8x8 bit
-    transpose per word turns it into one byte of each of eight lanes.
+    Each vector's two's-complement bytes are read through a byte view, with
+    no copy of a little-endian array of any integer dtype and stride whose
+    items hold ``ceil(width / 8)`` bytes; a big-endian array is swapped
+    first, one of narrower items is widened to int64, and an object array
+    of Python ints is cut into as many 64-bit limbs as the width needs.
+    Byte q of every vector makes up plane q, so each 8-byte word of a plane
+    holds byte q of eight vectors; one 8x8 bit transpose per word turns it
+    into one byte of each of eight lanes.
     """
     import numpy as np
 
@@ -292,15 +334,20 @@ def _pack_port(values: np.ndarray, width: int) -> list[int]:
     groups = -(-count // 8)
     nbytes = -(-width // 8)
     if values.dtype == object:
-        limbs = np.stack([
+        rows = np.stack([
             ((values >> base) & _M64).astype("<u8") for base in range(0, width, 64)
         ], axis=1)
+    elif values.itemsize < nbytes:
+        rows = values.astype("<i8").reshape(count, 1)
     else:
-        limbs = values.astype("<u8").reshape(count, 1)
+        # Each row a one-item view of a value, strided or not, which reads
+        # as its bytes, low first.
+        rows = values.astype(values.dtype.newbyteorder("<"), copy=False).reshape(count, 1)
     # planes[q, k] = byte q of vector k; padding vectors are 0.  Word i of
     # plane q holds byte q of vectors 8*i to 8*i + 7.
     planes = np.zeros((nbytes, groups * 8), np.uint8)
-    planes[:, :count] = limbs.view(np.uint8)[:, :nbytes].T
+    planes[:, :count] = rows.view(np.uint8)[:, :nbytes].T
+    del rows
     words = planes.view("<u8")
     _transpose8(words, groups)
     # Now byte c of words[q, i] is byte i of lane 8*q + c.
@@ -315,11 +362,13 @@ _TYPECODES = {array(u).itemsize: (u, s) for u, s in zip("BHIQ", "bhiq")}
 
 
 def _unpack_lanes(
-    lanes: Sequence[int], width: int, count: int, signedness: Signedness, np=None
+    lanes: Sequence[int], width: int, count: int, signedness: Signedness, np=None,
+    *, narrow: bool = False,
 ) -> list[int] | np.ndarray:
     """Inverse of :func:`_pack_port`: ``count`` port values from one lane per
     bit, as a list of Python ints, or, given the numpy module as ``np``, as
-    an int64 or object array by :func:`port_dtype`.
+    an int64 or object array by :func:`port_dtype`; with ``narrow``, up to
+    64 bits, as the array of the item size it reads, with no int64 copy.
 
     Byte q of every value comes from lanes 8q to 8q + 7: their bytes,
     interleaved, make word i hold byte i of each of the eight lanes, and one
@@ -355,7 +404,8 @@ def _unpack_lanes(
         typecode = _TYPECODES[size][signed]
         if np is None:
             return array(typecode, raw).tolist()
-        return np.frombuffer(raw, typecode).astype(port_dtype(width, signedness))
+        values = np.frombuffer(raw, typecode)
+        return values if narrow else values.astype(port_dtype(width, signedness))
     values = [int.from_bytes(raw[i:i + size], "little", signed=signed)
               for i in range(0, len(raw), size)]
     return values if np is None else np.array(values, object)
@@ -368,6 +418,42 @@ def _ints_from_limbs(limbs: np.ndarray) -> np.ndarray:
     for k in range(limbs.shape[1] - 2, -1, -1):
         acc = (acc << 64) | limbs[:, k].astype(object)
     return acc
+
+
+def _check_range(values: np.ndarray, port) -> None:
+    """Refuse an array of port values with one outside the port's range."""
+    lo, hi = value_range(port.width, port.signedness)
+    bad = (values < lo) | (values > hi)
+    if bad.any():
+        idx = int(bad.argmax())
+        raise ValueError(
+            f"vector {idx}: value {int(values[idx])} out of range "
+            f"[{lo}, {hi}] for port {port.name!r}"
+        )
+
+
+def _evaluate_chunk(
+    circuit: Circuit, arrays: Sequence[np.ndarray], count: int
+) -> list[np.ndarray]:
+    """One lane batch: ``count`` vectors, an array of in-range values per
+    input port in port order, of any integer dtype (or object), through the
+    circuit.  Returns each output port's values as :func:`_unpack_lanes`
+    reads them with ``narrow``: an array of the smallest item size that
+    holds the port up to 64 bits, an object array past that.
+    """
+    import numpy as np
+
+    program = _program(circuit)
+    # An iterator, so that only the lane loop holds an input lane and frees
+    # it once its slot is reused.
+    lanes = chain.from_iterable(map(_pack_port, arrays, (p.width for p in circuit.inputs)))
+    bits = _evaluate_lanes(program, lanes, (1 << count) - 1)
+    out, at = [], 0
+    for p in circuit.outputs:
+        out.append(_unpack_lanes(bits[at:at + p.width], p.width, count, p.signedness, np,
+                                 narrow=True))
+        at += p.width
+    return out
 
 
 def evaluate_vector_array(
@@ -385,9 +471,9 @@ def evaluate_vector_array(
     """
     import numpy as np
 
-    program = _program(circuit)
+    _program(circuit)  # an invalid circuit is refused before its values
     _check_names(circuit, values.keys())
-    arrays: dict[str, np.ndarray] = {}
+    arrays = []
     n = None
     for port in circuit.inputs:
         arr = values[port.name]
@@ -408,28 +494,18 @@ def evaluate_vector_array(
             n = len(arr)
         elif len(arr) != n:
             raise ValueError("all input arrays must have the same length")
-        lo, hi = value_range(port.width, port.signedness)
-        bad = (arr < lo) | (arr > hi)
-        if bad.any():
-            idx = int(np.argmax(bad))
-            raise ValueError(
-                f"vector {idx}: value {int(arr[idx])} out of range "
-                f"[{lo}, {hi}] for port {port.name!r}"
-            )
-        arrays[port.name] = arr.astype(port_dtype(port.width, port.signedness), copy=False)
+        _check_range(arr, port)
+        dtype = port_dtype(port.width, port.signedness)
+        # The packer reads an integer array of any dtype as it is.
+        if arr.dtype == object or dtype is object:
+            arr = arr.astype(dtype, copy=False)
+        arrays.append(arr)
     out = {p.name: np.empty(n, port_dtype(p.width, p.signedness)) for p in circuit.outputs}
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        lanes = []
-        for p in circuit.inputs:
-            lanes += _pack_port(arrays[p.name][start:stop], p.width)
-        bits = _evaluate_lanes(program, lanes, (1 << (stop - start)) - 1)
-        at = 0
-        for p in circuit.outputs:
-            out[p.name][start:stop] = _unpack_lanes(
-                bits[at:at + p.width], p.width, stop - start, p.signedness, np
-            )
-            at += p.width
+        chunk = _evaluate_chunk(circuit, [arr[start:stop] for arr in arrays], stop - start)
+        for p, values in zip(circuit.outputs, chunk):
+            out[p.name][start:stop] = values
     return out
 
 

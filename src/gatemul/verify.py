@@ -8,9 +8,10 @@ products as a list, against ``[x * y for x in range_a for y in range_b]``.
 The random run streams: it simulates, multiplies and compares one chunk
 at a time, the boundary pairs first and then ``sim._CHUNK`` (65,536) draws
 at a time, and keeps only the failing vectors, so a passing run holds one
-chunk whatever its count.  It multiplies numpy int64 arrays when every
-operand and every product fits in int64 (decided from the port ranges with
-Python ints) and exact Python ints otherwise.  numpy is imported inside
+chunk whatever its count.  A chunk's operands and products are numpy arrays
+of the narrowest integer dtype that holds each column's range (decided from
+the port ranges with Python ints), or object arrays of exact Python ints
+when a product does not fit in int64.  numpy is imported inside
 the functions that use it, not at module top, so an exhaustive ``verify``
 does not load it; ``gen`` and ``compare`` do not import this module at all.
 Both entry points first refuse a spec whose operand widths or signs differ
@@ -41,11 +42,11 @@ from typing import TYPE_CHECKING
 from .netlist import Circuit
 from .sim import (
     _CHUNK,
+    _check_range,
+    _evaluate_chunk,
     _evaluate_sweep,
     _ints_from_limbs,
-    evaluate_vector_array,
     fits_int64,
-    port_dtype,
     value_range,
 )
 
@@ -61,7 +62,7 @@ RANDOM_ALGORITHM = "numpy-pcg64"
 EXHAUSTIVE_MAX_WIDTH = 8
 
 # Most random vectors :func:`verify_random` draws: 2**24 check bw16 in about
-# 2.5 s.  The process peaks at 43 MB RSS when they pass, as a run holds one
+# 1 s.  The process peaks at 37 MB RSS when they pass, as a run holds one
 # chunk of vectors at a time, and at 264 MB when half of them fail (text or
 # JSON report): the failing vectors take 12 bytes each at 16 bits, and
 # sorting them about 14 more, for the order and one sorted column at a time.
@@ -356,16 +357,6 @@ def _sort_rows(columns: list, lo_a: int, lo_b: int, width_a: int, width_b: int) 
     columns[1] = b.astype(dtype_b, copy=False)
 
 
-def _pair_order(a, b, lo_a: int, lo_b: int, width_a: int, width_b: int):
-    """Indices that sort the pairs ``(a[i], b[i])`` by A, then B, ties kept
-    in index order: the order :func:`_sort_rows` puts rows in."""
-    import numpy as np
-
-    rows = [a, b, np.arange(len(a))]
-    _sort_rows(rows, lo_a, lo_b, width_a, width_b)
-    return rows[2]
-
-
 def verify_random(
     circuit: Circuit, spec: MultiplierSpec, count: int, seed: int
 ) -> VerifyReport:
@@ -378,8 +369,10 @@ def verify_random(
 
     The vectors are simulated, multiplied and compared a chunk at a time:
     the boundary pairs are the first chunk, then the draws ``_CHUNK`` at a
-    time.  Only the failing ones are kept, each column in its narrowest
-    dtype; at the end one sort puts them in (A, B) order.  A
+    time.  Each chunk is checked against the port ranges as it is drawn,
+    held in each column's narrowest dtype and freed before the next is
+    drawn.  Only the failing vectors are kept; at the end one sort puts them
+    in (A, B) order.  A
     second generator from the same seed draws A's values once, only to
     reach the state that B's draws start from.  The bit generator keeps the
     unused half of a 64-bit word between calls, so draws made chunk by
@@ -396,39 +389,42 @@ def verify_random(
     pa, pb, po = _ports(circuit, spec)
     import numpy as np
 
-    corner_a, corner_b = (
-        np.array(boundary_values(p.width, p.signedness), dtype=port_dtype(p.width, p.signedness))
-        for p in (pa, pb)
-    )
-    sizes = [min(_CHUNK, count - start) for start in range(0, count, _CHUNK)]
-    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    for n in sizes:
-        _draw(rng_b, pa.width, pa.signedness, n)
     ra, rb = value_range(pa.width, pa.signedness), value_range(pb.width, pb.signedness)
     products = [x * y for x in ra for y in rb]
-    in_int64 = fits_int64(*ra, *rb, *products)
     # Each column's narrowest signed dtype (every range holds 0), object
     # past int64.
     dtypes = [np.min_scalar_type(min(lo, -hi - 1)) for lo, hi in (
         ra, rb, (min(products), max(products)), value_range(po.width, po.signedness))]
+
+    def drawn(rng, port, n, dtype):
+        values = _draw(rng, port.width, port.signedness, n)
+        _check_range(values, port)
+        return values.astype(dtype, copy=False)
+
+    corner_a, corner_b = (np.array(boundary_values(p.width, p.signedness), dtype=dtype)
+                          for p, dtype in zip((pa, pb), dtypes))
+    sizes = [min(_CHUNK, count - start) for start in range(0, count, _CHUNK)]
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in sizes:
+        _draw(rng_b, pa.width, pa.signedness, n)
     # The failing values of each column, in vector order: an array.array,
     # whose buffer grows in place, for an integer dtype; pieces for object.
     stores = [[] if dtype == object else array(dtype.char) for dtype in dtypes]
     chunks = chain(
         [(np.repeat(corner_a, len(corner_b)), np.tile(corner_b, len(corner_a)))],
-        ((_draw(rng_a, pa.width, pa.signedness, n), _draw(rng_b, pb.width, pb.signedness, n))
-         for n in sizes),
+        ((drawn(rng_a, pa, n, dtypes[0]), drawn(rng_b, pb, n, dtypes[1])) for n in sizes),
     )
     for a, b in chunks:
-        # The simulator checks every operand against its port's range.
-        actual = evaluate_vector_array(circuit, {pa.name: a, pb.name: b})[po.name]
-        expected = a * b if in_int64 else a.astype(object) * b.astype(object)
+        actual = _evaluate_chunk(circuit, (a, b), len(a))[0]
+        expected = np.multiply(a, b, dtype=dtypes[2])
         bad = np.flatnonzero(actual != expected)
         for store, column, dtype in zip(stores, (a, b, expected, actual), dtypes):
             if dtype == object:
-                store.append(column[bad])
+                store.append(column[bad].astype(object))
             else:
                 store.frombytes(column[bad].astype(dtype).tobytes())
+        # Freed before the next chunk is drawn.
+        del a, b, actual, expected, column
     columns = [np.concatenate(store) if dtype == object else np.frombuffer(store, dtype)
                for store, dtype in zip(stores, dtypes)]
     del stores, store  # the last column's store too, which the loop above keeps

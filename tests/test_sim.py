@@ -212,6 +212,42 @@ class TestWideArrays:
             evaluate_vector_array(b.finalize(), {"A": [0, 1 << 64]})
 
 
+def _strided(values: np.ndarray) -> np.ndarray:
+    spaced = np.full(2 * len(values), 12_345, np.int64)
+    spaced[::2] = values
+    return spaced[::2]
+
+
+# Input array layouts by name: (value range, layout of an int64 array).
+_LAYOUTS = {
+    "strided": ((-32_768, 32_767), _strided),
+    "big-endian": ((-32_768, 32_767), lambda v: v.astype(">i8")),
+    "int16": ((-32_768, 32_767), lambda v: v.astype(np.int16)),
+    "int8": ((-128, 127), lambda v: v.astype(np.int8)),
+    "uint8": ((0, 255), lambda v: v.astype(np.uint8)),
+    "object": ((-32_768, 32_767), lambda v: np.array(v.tolist(), object)),
+}
+
+
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+@pytest.mark.parametrize("width", [16, 40])
+def test_vector_array_reads_every_input_layout(layout, width, monkeypatch):
+    """Arrays of any integer dtype, byte order or stride, and object arrays,
+    give what evaluate gives, in int64 (bw16's product) or object (bw40's)
+    outputs; narrower items than the port's bytes are extended by sign."""
+    c = baugh_wooley_multiplier(width)
+    (lo, hi), lay = _LAYOUTS[layout]
+    rng = np.random.default_rng(width)
+    a, b = rng.integers(lo, hi, (2, 300), endpoint=True)
+    a[:2], b[:2] = (lo, hi), (hi, lo)
+    monkeypatch.setattr(sim, "_CHUNK", 64)
+    out = evaluate_vector_array(c, {"A": lay(a), "B": lay(b)})["P"]
+    assert out.dtype == port_dtype(2 * width, S)
+    got = out.tolist()
+    assert all(type(p) is int for p in got)
+    assert got == [evaluate(c, {"A": int(x), "B": int(y)})["P"] for x, y in zip(a, b)]
+
+
 class TestInvalidCircuits:
     """Hand-assembled circuits that fail validation are never simulated."""
 
@@ -565,19 +601,19 @@ def test_awkward_circuits_match_demand_oracle(chunk, monkeypatch):
     assert len(seen) == 7
 
 
-def _peak_live_nets(circuit: Circuit) -> int:
-    """Most nets holding a value at once when the gates run in schedule order.
+def _peak_live_nets(circuit: Circuit, order: list[Gate]) -> int:
+    """Most nets holding a value at once when the gates of ``order`` run in
+    that order.
 
     Input bits are live from the start, a gate's output from its step.  A net
     stays live until the step of its last reader, which may write its output
     over it; output-port nets stay live to the end, and a net nothing reads
     is live for its own step only.
     """
-    steps = len(circuit.gates)
+    steps = len(order)
     born = {net: -1 for p in circuit.inputs for net in p.bits}
     dies = {}
-    for t, gi in enumerate(gate_schedule(circuit)):
-        g = circuit.gates[gi]
+    for t, g in enumerate(order):
         born[g.output] = t
         for net in g.inputs:
             dies[net] = t
@@ -655,4 +691,38 @@ class TestProgram:
         for spec in specs:
             c = generate(spec)
             slots = sim._program(c).slot_count
-            assert slots == _peak_live_nets(c) <= c.net_count, spec
+            assert slots == _peak_live_nets(c, sim._step_order(c)) <= c.net_count, spec
+
+    def test_steps_are_the_gates_the_outputs_read(self):
+        """Each gate an output depends on is one step, after the steps that
+        make its inputs; no other gate is, so the CONST gates nothing reads
+        are left out.  Awkward circuits add dead gates of every kind."""
+        rng = random.Random(12)
+        circuits = [generate(spec) for spec in _digest_specs() if spec.width_a == 8]
+        circuits += [_awkward_circuit(rng) for _ in range(60)]
+        unread_consts = 0
+        for c in circuits:
+            order = sim._step_order(c)
+            driver = {g.output: g for g in c.gates}
+            cone, todo = set(), [net for p in c.outputs for net in p.bits]
+            while todo:
+                g = driver.get(todo.pop())
+                if g is not None and g not in cone:
+                    cone.add(g)
+                    todo += g.inputs
+            assert len(order) == len(set(order)) == len(sim._program(c).steps)
+            assert set(order) == cone
+            made = {net for p in c.inputs for net in p.bits}
+            for g in order:
+                assert made.issuperset(g.inputs)
+                made.add(g.output)
+            read = {net for g in c.gates for net in g.inputs}
+            unread_consts += sum(g.output not in read and not g.inputs for g in set(c.gates) - cone)
+            assert sim._program(c).slot_count == _peak_live_nets(c, order)
+        assert unread_consts >= 15
+
+    @pytest.mark.parametrize("width, most", [(16, 128), (64, 512), (256, 2048)])
+    def test_bw_slots_stay_few(self, width, most):
+        # In gate order, bw would hold every partial product at once: 258,
+        # 4,098 and 65,538 slots.
+        assert sim._program(baugh_wooley_multiplier(width)).slot_count <= most

@@ -24,7 +24,6 @@ from gatemul.verify import (
     VerifyReport,
     _draw,
     _Failures,
-    _pair_order,
     _sort_rows,
     boundary_values,
     oracle_product,
@@ -624,8 +623,11 @@ def test_pair_order_is_lexsort_order(sign_a, sign_b):
     a, b = columns
     a[::3], b[::3] = a[1], b[1]
     a[2::5] = a[4]
-    order = _pair_order(a, b, value_range(32, sign_a)[0], value_range(32, sign_b)[0], 32, 32)
-    assert np.array_equal(order, np.lexsort((b, a)))
+    want = np.lexsort((b, a))
+    # An index column, sorted with the rows, reads back their order.
+    rows = [a, b, np.arange(len(a))]
+    _sort_rows(rows, value_range(32, sign_a)[0], value_range(32, sign_b)[0], 32, 32)
+    assert np.array_equal(rows[2], want)
 
 
 @pytest.mark.parametrize("width_a, width_b", [(32, 32), (20, 44), (16, 8)])
@@ -664,6 +666,27 @@ class TestStreamedMemory:
             tracemalloc.stop()
         assert report.passed
         assert peak < 8 << 20, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("arch, leaf", [
+        (Architecture.FLAT_BW, None),
+        (Architecture.BOOTH_RADIX4, None),
+        (Architecture.DECOMPOSED, 4),
+    ])
+    def test_passing_chunk_is_its_narrow_columns(self, arch, leaf):
+        # A chunk holds its operands and products in int16 and int32 and
+        # about a hundred 8 KiB lanes: 1.0-1.3 MiB here.  With int64 columns,
+        # their int64 copies and every partial product's lane it took 3.9-5.0.
+        spec = MultiplierSpec(16, 16, S, S, arch, leaf_width=leaf)
+        c = generate(spec)
+        verify_random(c, spec, count=1, seed=0)  # numpy loaded, program compiled
+        tracemalloc.start()
+        try:
+            report = verify_random(c, spec, count=1_000_000, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 2 << 20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_failing_run_holds_its_rows_once(self):
         # About 500k failing rows: 12 bytes each in narrow columns, plus the
