@@ -320,13 +320,12 @@ def _pack_port(values: np.ndarray, width: int) -> list[int]:
     """One lane integer per bit position; lane bit k = vector k's bit.
 
     Each vector's two's-complement bytes are read through a byte view, with
-    no copy of a little-endian array of any integer dtype and stride whose
-    items hold ``ceil(width / 8)`` bytes; a big-endian array is swapped
-    first, one of narrower items is widened to int64, and an object array
-    of Python ints is cut into as many 64-bit limbs as the width needs.
-    Byte q of every vector makes up plane q, so each 8-byte word of a plane
-    holds byte q of eight vectors; one 8x8 bit transpose per word turns it
-    into one byte of each of eight lanes.
+    no copy, from an integer array of any stride whose native (little-endian,
+    as :func:`_unpack_lanes` reads too) items hold ``ceil(width / 8)``
+    bytes; an object array of Python ints is cut into as many 64-bit limbs
+    as the width needs.  Byte q of every vector makes up plane q, so each
+    8-byte word of a plane holds byte q of eight vectors; one 8x8 bit
+    transpose per word turns it into one byte of each of eight lanes.
     """
     import numpy as np
 
@@ -337,12 +336,10 @@ def _pack_port(values: np.ndarray, width: int) -> list[int]:
         rows = np.stack([
             ((values >> base) & _M64).astype("<u8") for base in range(0, width, 64)
         ], axis=1)
-    elif values.itemsize < nbytes:
-        rows = values.astype("<i8").reshape(count, 1)
     else:
         # Each row a one-item view of a value, strided or not, which reads
         # as its bytes, low first.
-        rows = values.astype(values.dtype.newbyteorder("<"), copy=False).reshape(count, 1)
+        rows = values.reshape(count, 1)
     # planes[q, k] = byte q of vector k; padding vectors are 0.  Word i of
     # plane q holds byte q of vectors 8*i to 8*i + 7.
     planes = np.zeros((nbytes, groups * 8), np.uint8)
@@ -362,13 +359,12 @@ _TYPECODES = {array(u).itemsize: (u, s) for u, s in zip("BHIQ", "bhiq")}
 
 
 def _unpack_lanes(
-    lanes: Sequence[int], width: int, count: int, signedness: Signedness, np=None,
-    *, narrow: bool = False,
+    lanes: Sequence[int], width: int, count: int, signedness: Signedness, np=None
 ) -> list[int] | np.ndarray:
     """Inverse of :func:`_pack_port`: ``count`` port values from one lane per
     bit, as a list of Python ints, or, given the numpy module as ``np``, as
-    an int64 or object array by :func:`port_dtype`; with ``narrow``, up to
-    64 bits, as the array of the item size it reads, with no int64 copy.
+    an array: up to 64 bits, of the item size it reads (signed for a signed
+    port), with no copy; an object array past that.
 
     Byte q of every value comes from lanes 8q to 8q + 7: their bytes,
     interleaved, make word i hold byte i of each of the eight lanes, and one
@@ -404,8 +400,7 @@ def _unpack_lanes(
         typecode = _TYPECODES[size][signed]
         if np is None:
             return array(typecode, raw).tolist()
-        values = np.frombuffer(raw, typecode)
-        return values if narrow else values.astype(port_dtype(width, signedness))
+        return np.frombuffer(raw, typecode)
     values = [int.from_bytes(raw[i:i + size], "little", signed=signed)
               for i in range(0, len(raw), size)]
     return values if np is None else np.array(values, object)
@@ -436,10 +431,10 @@ def _evaluate_chunk(
     circuit: Circuit, arrays: Sequence[np.ndarray], count: int
 ) -> list[np.ndarray]:
     """One lane batch: ``count`` vectors, an array of in-range values per
-    input port in port order, of any integer dtype (or object), through the
-    circuit.  Returns each output port's values as :func:`_unpack_lanes`
-    reads them with ``narrow``: an array of the smallest item size that
-    holds the port up to 64 bits, an object array past that.
+    input port in port order, each as :func:`_pack_port` reads it, through
+    the circuit.  Returns each output port's values as :func:`_unpack_lanes`
+    reads them: an array of the smallest item size that holds the port up
+    to 64 bits, an object array past that.
     """
     import numpy as np
 
@@ -450,8 +445,7 @@ def _evaluate_chunk(
     bits = _evaluate_lanes(program, lanes, (1 << count) - 1)
     out, at = [], 0
     for p in circuit.outputs:
-        out.append(_unpack_lanes(bits[at:at + p.width], p.width, count, p.signedness, np,
-                                 narrow=True))
+        out.append(_unpack_lanes(bits[at:at + p.width], p.width, count, p.signedness, np))
         at += p.width
     return out
 
@@ -495,11 +489,7 @@ def evaluate_vector_array(
         elif len(arr) != n:
             raise ValueError("all input arrays must have the same length")
         _check_range(arr, port)
-        dtype = port_dtype(port.width, port.signedness)
-        # The packer reads an integer array of any dtype as it is.
-        if arr.dtype == object or dtype is object:
-            arr = arr.astype(dtype, copy=False)
-        arrays.append(arr)
+        arrays.append(arr.astype(port_dtype(port.width, port.signedness), copy=False))
     out = {p.name: np.empty(n, port_dtype(p.width, p.signedness)) for p in circuit.outputs}
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)

@@ -415,14 +415,16 @@ def verify_random(
         ((drawn(rng_a, pa, n, dtypes[0]), drawn(rng_b, pb, n, dtypes[1])) for n in sizes),
     )
     for a, b in chunks:
-        actual = _evaluate_chunk(circuit, (a, b), len(a))[0]
+        # In the output column's dtype: an unsigned port's array would
+        # compare with the signed product through float64 on numpy 1.x.
+        actual = _evaluate_chunk(circuit, (a, b), len(a))[0].astype(dtypes[3], copy=False)
         expected = np.multiply(a, b, dtype=dtypes[2])
         bad = np.flatnonzero(actual != expected)
-        for store, column, dtype in zip(stores, (a, b, expected, actual), dtypes):
-            if dtype == object:
-                store.append(column[bad].astype(object))
+        for store, column in zip(stores, (a, b, expected, actual)):
+            if column.dtype == object:
+                store.append(column[bad])
             else:
-                store.frombytes(column[bad].astype(dtype).tobytes())
+                store.frombytes(column[bad].tobytes())
         # Freed before the next chunk is drawn.
         del a, b, actual, expected, column
     columns = [np.concatenate(store) if dtype == object else np.frombuffer(store, dtype)
