@@ -160,7 +160,15 @@ def _cmd_verify(args) -> int:
     pa, pb = circuit.inputs
     spec = _Operands(pa.width, pb.width, pa.signedness, pb.signedness)
     if args.random is not None:
-        report = _this.verify_random(circuit, spec, count=args.random, seed=args.seed)
+        # A numpy that cannot load (absent, or out of address space) is a
+        # refusal, not a traceback's exit 1.  It loads after the verify layer,
+        # as before: loaded first, it raised the peak RSS by about 1 MB.
+        verify_random = _this.verify_random
+        try:
+            import numpy.random  # noqa: F401
+        except ImportError as exc:
+            raise ValueError(f"verify --random needs numpy, which failed to load: {exc}") from exc
+        report = verify_random(circuit, spec, count=args.random, seed=args.seed)
     else:
         report = _this.verify_exhaustive(circuit, spec)
     if args.format == "json":

@@ -65,7 +65,7 @@ EXHAUSTIVE_MAX_WIDTH = 8
 # 1 s.  The process peaks at 37 MB RSS when they pass, as a run holds one
 # chunk of vectors at a time, and at 264 MB when half of them fail (text or
 # JSON report): the failing vectors take 12 bytes each at 16 bits, and
-# sorting them about 14 more, for the order and one sorted column at a time.
+# sorting them about 12 more, for the order and one sorted column at a time.
 _MAX_COUNT = 1 << 24
 
 # Failing vectors that ``VerifyReport.to_text`` lists before "... and N more".
@@ -270,9 +270,10 @@ def verify_exhaustive(circuit: Circuit, spec: MultiplierSpec) -> VerifyReport:
     # Vector k is (lo_a + k // 2**nb, lo_b + k % 2**nb): (A, B) order already.
     bad = [] if actual == expected else list(
         compress(range(count), map(operator.ne, actual, expected)))
+    shift, mask = pb.width, hi_b - lo_b
     failures = _Failures((pa.name, pb.name), (
-        [lo_a + (k >> pb.width) for k in bad],
-        [lo_b + (k & (hi_b - lo_b)) for k in bad],
+        [lo_a + (k >> shift) for k in bad],
+        [lo_b + (k & mask) for k in bad],
         list(map(expected.__getitem__, bad)),
         list(map(actual.__getitem__, bad)),
     ))
@@ -311,50 +312,18 @@ def _draw(rng: np.random.Generator, width: int, signedness, count: int) -> np.nd
     return _ints_from_limbs(words) + lo
 
 
-def _sort_rows(columns: list, lo_a: int, lo_b: int, width_a: int, width_b: int) -> None:
+def _sort_rows(columns: list) -> None:
     """Put the rows of ``columns``, A and B first, in (A, B) order in place,
-    ties kept in index order, as ``np.lexsort((b, a))`` orders them.  Each
-    unsorted column is freed as its sorted copy replaces it: never two
-    copies of every column.
-
-    numpy radix-sorts only keys of 16 bits or less.  Wider operands whose
-    widths sum to at most 64 are sorted as one packed key,
-    ``(a - lo_a) << width_b | (b - lo_b)``, in about half the time of a
-    lexsort of the two columns.  A and B are dropped once the key is built
-    and rebuilt, in their dtypes, from the sorted key, so neither lives
-    next to the key, the order and the sort's buffer.
-    """
+    ties kept in index order: one ``np.lexsort((b, a))``, then each column
+    replaced in turn by its gather in that order, so each unsorted column is
+    freed as its sorted copy replaces it and never two copies of every
+    column exist.  The order is held as int32 (a run has fewer than 2**31
+    rows), 4 bytes a row less next to every column during the gathers."""
     import numpy as np
 
-    a, b = columns[:2]
-    if max(a.itemsize, b.itemsize) <= 2 or width_a + width_b > 64:
-        order = np.lexsort((b, a))
-        del a, b
-        for i in range(len(columns)):
-            columns[i] = columns[i][order]
-        return
-    dtype_a, dtype_b = a.dtype, b.dtype
-    columns[:2] = None, None
-    key = np.subtract(a, lo_a, dtype=np.int64).view(np.uint64)
-    del a
-    key <<= np.uint64(width_b)
-    key |= np.subtract(b, lo_b, dtype=np.int64).view(np.uint64)
-    del b
-    order = np.argsort(key, kind="stable")
-    for i in range(2, len(columns)):
+    order = np.lexsort((columns[1], columns[0])).astype(np.int32)
+    for i in range(len(columns)):
         columns[i] = columns[i][order]
-    del order
-    # Equal keys are equal (A, B) pairs, so an in-place sort, which needs
-    # no copy, gives the sorted key.
-    key.sort()
-    a = (key >> np.uint64(width_b)).view(np.int64)
-    a += lo_a
-    columns[0] = a.astype(dtype_a, copy=False)
-    del a
-    b = key.view(np.int64)
-    b &= (1 << width_b) - 1
-    b += lo_b
-    columns[1] = b.astype(dtype_b, copy=False)
 
 
 def verify_random(
@@ -431,7 +400,7 @@ def verify_random(
                for store, dtype in zip(stores, dtypes)]
     del stores, store  # the last column's store too, which the loop above keeps
     # Into (A, B) order; each column frees its store as it is replaced.
-    _sort_rows(columns, ra[0], rb[0], pa.width, pb.width)
+    _sort_rows(columns)
     boundary = len(corner_a) * len(corner_b)
     return VerifyReport(
         mode="random",

@@ -749,6 +749,22 @@ class TestNumpyOffStartup:
         assert "numpy" in loaded
         assert not loaded & {"multipliers", "genlib", "timing"}
 
+    def test_random_verify_without_numpy_exits_2(self, tmp_path):
+        # numpy blocked: one error line naming it, nothing on stdout, and
+        # the refusal's exit code rather than a traceback's 1.
+        out = tmp_path / "bw4.json"
+        out.write_text(to_json(baugh_wooley_multiplier(4)))
+        proc = _run_python([
+            "-c",
+            "import sys; sys.modules['numpy'] = None; from gatemul.cli import main; "
+            "sys.exit(main(sys.argv[1:]))",
+            "verify", str(out), "--random", "10",
+        ])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        line, = proc.stderr.splitlines()
+        assert line.startswith("error: verify --random needs numpy, which failed to load: ")
+
     @pytest.mark.parametrize("preset", [None, "3"])
     def test_main_sets_one_blas_thread_unless_set(self, tmp_path, preset):
         # Importing gatemul sets nothing; main sets the variable only where

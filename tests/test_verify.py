@@ -611,8 +611,8 @@ class TestRowOrder:
 @pytest.mark.parametrize("sign_a, sign_b", [(S, S), (U, U), (S, U)])
 def test_pair_order_is_lexsort_order(sign_a, sign_b):
     # 32-bit operand columns, int32 when signed and int64 when not, with
-    # repeated pairs and repeated A values: the packed key gives
-    # np.lexsort's order, ties in index order.
+    # repeated pairs and repeated A values: np.lexsort's order, ties in
+    # index order.
     rng = np.random.default_rng(3)
     columns = []
     for sign in (sign_a, sign_b):
@@ -626,31 +626,36 @@ def test_pair_order_is_lexsort_order(sign_a, sign_b):
     want = np.lexsort((b, a))
     # An index column, sorted with the rows, reads back their order.
     rows = [a, b, np.arange(len(a))]
-    _sort_rows(rows, value_range(32, sign_a)[0], value_range(32, sign_b)[0], 32, 32)
+    _sort_rows(rows)
     assert np.array_equal(rows[2], want)
 
 
-@pytest.mark.parametrize("width_a, width_b", [(32, 32), (20, 44), (16, 8)])
+@pytest.mark.parametrize("width_a, width_b", [
+    (32, 32), (20, 44), (16, 8), (6, 8), (40, 40), (65, 65)])
 @pytest.mark.parametrize("sign_a, sign_b", [(S, S), (U, U), (U, S)])
 def test_sort_rows_is_lexsort_gather(width_a, width_b, sign_a, sign_b):
     # Every column comes back as np.lexsort's order gathers it, in its own
-    # dtype: A and B rebuilt from the packed key, each range's ends
-    # included; signed 16x8 columns take the lexsort branch.
+    # dtype (int8 at 6x8, int64 at 40x40, object at 65x65), each range's
+    # ends included and ties in index order.
     rng = np.random.default_rng(5)
     (lo_a, hi_a), (lo_b, hi_b) = value_range(width_a, sign_a), value_range(width_b, sign_b)
-    a, b = (rng.integers(lo, hi, 20_000, endpoint=True).astype(
-                np.min_scalar_type(min(lo, -hi - 1)))
-            for lo, hi in ((lo_a, hi_a), (lo_b, hi_b)))
+    # Each column in verify_random's dtype: its narrowest, object past int64.
+    a, b = (_draw(rng, width, sign, 20_000).astype(np.min_scalar_type(min(lo, -hi - 1)))
+            for width, sign, (lo, hi) in ((width_a, sign_a, (lo_a, hi_a)),
+                                          (width_b, sign_b, (lo_b, hi_b))))
     a[::9], a[1::13], b[::5], b[2::7] = lo_a, hi_a, lo_b, hi_b
     a[3::4], b[3::4] = a[0], b[0]
     rest = [rng.integers(-9, 9, len(a)), rng.integers(0, 1 << 40, len(a))]
     order = np.lexsort((b, a))
     want = [column[order] for column in (a, b, *rest)]
     columns = [a, b, *rest]
-    _sort_rows(columns, lo_a, lo_b, width_a, width_b)
+    _sort_rows(columns)
     for got, column in zip(columns, want):
         assert got.dtype == column.dtype
         assert np.array_equal(got, column)
+    # Ties in index order, against Python's stable sort of the pairs.
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert order.tolist() == sorted(range(len(pairs)), key=pairs.__getitem__)
 
 
 class TestStreamedMemory:
